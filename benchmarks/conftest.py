@@ -133,7 +133,9 @@ def cache_effect(seed=2001):
     Runs the correlation twice over the XML dialogue against the same
     mediator with medcache on: the cold run pays the wire, the warm
     run must answer entirely from cache (zero source queries, zero
-    query wire bytes) and be measurably faster.
+    query wire bytes).  Both wall times are reported; the warm run is
+    not faster, as the second correlate of a knowledge-base revision
+    is the one that saturates the base later correlates extend.
     """
     import time
 

@@ -1,7 +1,9 @@
 """PERF-CACHE — effect and cost of the medcache layer.
 
 Characterizes (a) the warm-cache Section 5 correlation — zero source
-calls, zero query wire bytes, measurably faster than the cold run;
+calls, zero query wire bytes (its wall time is reported, not asserted:
+source calls are a small share of a correlate, and this second
+correlate of the revision also saturates the mediator's delta base);
 (b) the no-cache overhead on the source-query hot path (one ``is
 None`` check: must be noise); (c) domain-map-aware invalidation — a
 registration refining one branch drops only the entries anchored

@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
@@ -30,11 +31,14 @@ from ..errors import (
 )
 from ..datalog.safety import check_rule_safety
 from ..datalog.ast import Rule
+from ..datalog.engine import evaluate
+from ..datalog.stratify import nonmonotone_dependencies
 from ..domainmap.execute import compile_domain_map
 from ..domainmap.index import SemanticIndex
 from ..domainmap.model import DomainMap
 from ..domainmap.registry import register_concepts
 from ..flogic.engine import FLogicEngine
+from ..flogic.translate import PRED_DEFAULT_VAL
 from ..gcm.constraints import check as gcm_check
 from .aggregate import Distribution, aggregate_over_dm
 from ..cache import (
@@ -71,6 +75,47 @@ class RegisteredSource:
 
     def __repr__(self):
         return "RegisteredSource(%r)" % self.name
+
+
+class _DeltaBase:
+    """A saturated program that evaluations extend by their extra facts.
+
+    `blocked` holds the relations whose new facts could retract a
+    conclusion (negated or aggregated literals depend on them); extra
+    facts of those relations, and ``*->`` defaults (which switch the
+    value-inheritance axioms on), need a fresh evaluation.
+    """
+
+    def __init__(self, engine):
+        self.result = engine.evaluate(check_safety=False)
+        self.rules = engine.program().rules
+        self.blocked = nonmonotone_dependencies(self.rules)
+
+    def accepts(self, extra):
+        return all(
+            rule.is_fact
+            and rule.head.signature not in self.blocked
+            and rule.head.pred != PRED_DEFAULT_VAL
+            for rule in extra
+        )
+
+
+class _Revision:
+    """What the mediator derives from one knowledge-base revision.
+
+    ``_invalidate()`` drops the record; a direct domain-map edit
+    outdates it through :attr:`DomainMap.revision`.  ``served`` holds
+    the ``include_data`` flavours that already ran one
+    ``evaluate_with`` (fresh, with the full safety check); the second
+    one saturates that flavour's :class:`_DeltaBase` (None when the
+    program needs the well-founded fallback).
+    """
+
+    def __init__(self, dm_revision):
+        self.dm_revision = dm_revision
+        self.engine: Optional[FLogicEngine] = None
+        self.served: Set[bool] = set()
+        self.bases: Dict[bool, Optional[_DeltaBase]] = {}
 
 
 class Mediator:
@@ -177,13 +222,13 @@ class Mediator:
                 "parallel must be a ParallelExecutor, True, or a worker "
                 "count, not %r" % type(parallel).__name__
             )
-        self._safety_checked = False
         self._sources: Dict[str, RegisteredSource] = {}
         self._views: Dict[str, object] = {}
         self._view_rules_by_name: Dict[str, List[Rule]] = {}
         self._facts: List[Rule] = []
         self._materialized: List[Rule] = []
-        self._engine: Optional[FLogicEngine] = None
+        self._revision: Optional[_Revision] = None
+        self._revision_lock = threading.RLock()
         self._wire_log: List[Tuple[str, int]] = []
 
     # -- registration ---------------------------------------------------
@@ -482,8 +527,14 @@ class Mediator:
     # -- knowledge base ----------------------------------------------------
 
     def _invalidate(self):
-        self._engine = None
-        self._safety_checked = False
+        self._revision = None
+
+    def _current_revision(self):
+        with self._revision_lock:
+            revision = self._revision
+            if revision is None or revision.dm_revision != self.dm.revision:
+                revision = self._revision = _Revision(self.dm.revision)
+            return revision
 
     @property
     def _view_rules(self):
@@ -583,11 +634,14 @@ class Mediator:
         return rules
 
     def engine(self):
-        """The mediator's (cached) F-logic engine."""
-        if self._engine is None:
-            self._engine = FLogicEngine()
-            self._engine.tell_rules(self.assembled_rules())
-        return self._engine
+        """The mediator's F-logic engine, cached per knowledge-base
+        revision."""
+        revision = self._current_revision()
+        if revision.engine is None:
+            engine = FLogicEngine()
+            engine.tell_rules(self.assembled_rules())
+            revision.engine = engine
+        return revision.engine
 
     def evaluate(self):
         """Evaluate the knowledge base; returns an EvaluationResult."""
@@ -600,26 +654,56 @@ class Mediator:
         ``include_data=False`` evaluates the extra facts against the
         knowledge only (domain map + schemas + views), ignoring any
         eagerly loaded instance data.
+
+        The first call of a knowledge-base revision evaluates from
+        scratch; later ones extend a saturated base by the extra facts
+        (``path=delta`` on the span) unless a negated or aggregated
+        literal depends on them (``path=fresh``).
         """
         extra = list(extra_facts)
         with obs.span(
             "mediator.evaluate_with",
             extra_facts=len(extra),
             include_data=include_data,
-        ):
-            return self._evaluate_with(extra, include_data)
+        ) as span:
+            revision = self._current_revision()
+            first = include_data not in revision.served
+            base = None if first else self._delta_base(revision, include_data)
+            if base is None or not base.accepts(extra):
+                span.set(path="fresh")
+                result = self._evaluate_fresh(extra, include_data, first)
+                revision.served.add(include_data)
+                return result
+            span.set(path="delta")
+            for rule in extra:
+                check_rule_safety(rule)
+            return evaluate(
+                base.rules + tuple(extra), check_safety=False, base=base.result
+            )
 
-    def _evaluate_with(self, extra, include_data):
+    def _delta_base(self, revision, include_data):
+        with self._revision_lock:
+            if include_data not in revision.bases:
+                if include_data:
+                    engine = self.engine()
+                else:
+                    engine = FLogicEngine()
+                    engine.tell_rules(self.assembled_rules(include_data=False))
+                # the revision's first evaluation checked these rules
+                base = _DeltaBase(engine)
+                revision.bases[include_data] = (
+                    None if base.result.used_well_founded else base
+                )
+            return revision.bases[include_data]
+
+    def _evaluate_fresh(self, extra, include_data, first):
         engine = FLogicEngine()
         engine.tell_rules(self.assembled_rules(include_data=include_data))
         engine.tell_rules(extra)
-        if not self._safety_checked:
-            # first evaluation since the knowledge base changed: run the
-            # full program check once, then remember it so repeated plan
-            # executions only re-check their (few) fetched facts
-            result = engine.evaluate(check_safety=True)
-            self._safety_checked = True
-            return result
+        if first:
+            # first evaluation of this revision: run the full program
+            # check once; later ones only re-check their fetched facts
+            return engine.evaluate(check_safety=True)
         for rule in extra:
             check_rule_safety(rule)
         return engine.evaluate(check_safety=False)

@@ -50,6 +50,7 @@ from .stratify import (
     build_dependency_graph,
     is_aggregate_stratified,
     is_stratifiable,
+    nonmonotone_dependencies,
     stratify,
 )
 from .terms import (
@@ -102,6 +103,7 @@ __all__ = [
     "magic_transform",
     "match",
     "match_atom",
+    "nonmonotone_dependencies",
     "parse_atom",
     "parse_program",
     "parse_rule",

@@ -72,7 +72,8 @@ class EvaluationResult:
 DEFAULT_MAX_FACTS = 2_000_000
 
 
-def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None):
+def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
+             base=None):
     """Evaluate `program` and return an :class:`EvaluationResult`.
 
     Stratifiable programs get the stratified semi-naive treatment; with
@@ -88,6 +89,15 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None):
     :data:`DEFAULT_MAX_FACTS`); programs that create unboundedly many
     Skolem terms fail with :class:`EvaluationError` rather than running
     forever.
+
+    `base` is an already-saturated, stratified result of `program`
+    minus some of its facts.  The base store is copied (never
+    mutated), the facts it lacks become the round-0 delta, and each
+    stratum fires its rules only on derivations that use a new fact.
+    The result equals a fresh evaluation provided no negated or
+    aggregated literal depends on a predicate of the new facts (see
+    :func:`~repro.datalog.stratify.nonmonotone_dependencies`) — the
+    caller checks that; metrics count the delta work only.
     """
     if strategy not in ("seminaive", "naive"):
         raise EvaluationError("unknown evaluation strategy %r" % strategy)
@@ -95,6 +105,15 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None):
         check_program_safety(program)
     tracer = obs.active()
     metrics = obs.EvaluationMetrics() if tracer.enabled else None
+    if base is not None:
+        if base.strata is None:
+            raise EvaluationError(
+                "a delta evaluation needs a stratified base result"
+            )
+        return _run_strata(
+            program, base.strata, base.store.copy(), tracer, metrics,
+            max_facts, seminaive=True, seed_from_base=True,
+        )
     try:
         strata = stratify(program)
     except StratificationError:
@@ -113,17 +132,41 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None):
             used_well_founded=True,
             metrics=metrics,
         )
-    store = FactStore()
+    return _run_strata(
+        program, strata, FactStore(), tracer, metrics, max_facts,
+        seminaive=(strategy == "seminaive"),
+    )
+
+
+def _run_strata(program, strata, store, tracer, metrics, max_facts, seminaive,
+                seed_from_base=False):
+    """Saturate `store` stratum by stratum.
+
+    With `seed_from_base`, `store` is a copy of a saturated base: the
+    program's facts it lacks are added first as the delta, and every
+    stratum then only fires rules on derivations that use a fact of the
+    delta (which grows with each stratum's derived facts).
+    """
     evaluator = _Evaluator(
         store,
-        seminaive=(strategy == "seminaive"),
+        seminaive=seminaive,
         max_facts=max_facts if max_facts is not None else DEFAULT_MAX_FACTS,
         tracer=tracer,
     )
+    new = None
+    if seed_from_base:
+        new = FactStore()
+        proper = []
+        for rule in program:
+            if not rule.is_fact:
+                proper.append(rule)
+            elif store.add_row(rule.head.signature, rule.head.args):
+                new.add_row(rule.head.signature, rule.head.args)
+        program = proper
     for index, stratum in enumerate(strata):
         rules = [r for r in program if r.head.signature in stratum]
         if metrics is None:
-            evaluator.saturate(rules)
+            evaluator.saturate(rules, new=new)
             continue
         stratum_metrics = metrics.begin_stratum(
             index, ("%s/%d" % sig for sig in stratum)
@@ -135,6 +178,7 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None):
                 rules,
                 stratum_metrics=stratum_metrics,
                 derived_at=metrics.derived_at,
+                new=new,
             )
             span.set(
                 facts_derived=stratum_metrics.facts_derived,
@@ -281,7 +325,15 @@ class _Evaluator:
 
     # -- saturation --------------------------------------------------
 
-    def saturate(self, rules, stratum_metrics=None, derived_at=None):
+    def saturate(self, rules, stratum_metrics=None, derived_at=None, new=None):
+        """Saturate `rules` (one stratum) into the store.
+
+        With `new` (the facts the store gained over a saturated base),
+        the first pass fires each rule once per positive literal whose
+        relation has new facts, that literal reading `new`; the facts
+        this stratum derives join `new` after the first pass and after
+        each round, for the later strata.
+        """
         facts = [r for r in rules if r.is_fact]
         proper = [r for r in rules if not r.is_fact]
         collect = stratum_metrics is not None
@@ -296,23 +348,39 @@ class _Evaluator:
         local_sigs = {r.head.signature for r in rules}
         ordered = [(rule, _order_body(rule)) for rule in proper]
 
-        # First full pass: every rule against the complete store.  Heads
-        # are buffered per rule so the store is never mutated while a
-        # candidate set from the same relation is being iterated.
+        # First pass: every rule against the complete store (with
+        # `new`: once per literal over a relation with new facts).
+        # Heads are buffered per rule so the store is never mutated
+        # while a candidate set from the same relation is being iterated.
         for rule, body in ordered:
-            heads = [
-                rule.head.substitute(subst)
-                for subst in self._solve(body, 0, {}, None, None)
-            ]
-            if collect:
-                self.rule_firings += len(heads)
-            for head in heads:
-                if not head.is_ground():
-                    raise EvaluationError("derived non-ground fact %s" % head)
-                if self.store.add(head):
-                    delta.add(head)
-                    if collect and derived_at is not None:
-                        derived_at.setdefault(head, (stratum_index, 0))
+            if new is None:
+                positions = [None]
+            else:
+                positions = [
+                    i
+                    for i, item in enumerate(body)
+                    if isinstance(item, Literal)
+                    and item.positive
+                    and new.rows(item.atom.signature)
+                ]
+            for pass_body, position in _joins(rule, body, positions, new):
+                heads = [
+                    rule.head.substitute(subst)
+                    for subst in self._solve(pass_body, 0, {}, position, new)
+                ]
+                if collect:
+                    self.rule_firings += len(heads)
+                for head in heads:
+                    if not head.is_ground():
+                        raise EvaluationError("derived non-ground fact %s" % head)
+                    if self.store.add(head):
+                        delta.add(head)
+                        if collect and derived_at is not None:
+                            derived_at.setdefault(head, (stratum_index, 0))
+        if new is not None:
+            # later strata see this stratum's facts as new; the rounds
+            # below read `delta`, never `new`
+            new.merge(delta)
         if collect:
             stratum_metrics.rounds.append(len(delta))
             stratum_metrics.facts_derived += len(delta)
@@ -328,7 +396,9 @@ class _Evaluator:
                 and item.atom.signature in local_sigs
             ]
             if delta_positions:
-                recursive.append((rule, body, delta_positions))
+                recursive.append(
+                    (rule, body, _joins(rule, body, delta_positions, new))
+                )
 
         if not self.seminaive:
             # Naive ablation: every recursive rule refires against the
@@ -339,7 +409,7 @@ class _Evaluator:
                 changed = False
                 round_no += 1
                 derived_this_round = 0
-                for rule, body, _positions in recursive:
+                for rule, body, _passes in recursive:
                     heads = [
                         rule.head.substitute(subst)
                         for subst in self._solve(body, 0, {}, None, None)
@@ -371,11 +441,11 @@ class _Evaluator:
                 "datalog.round", round=round_no, delta_in=len(delta)
             ) as round_span:
                 new_delta = FactStore()
-                for rule, body, delta_positions in recursive:
-                    for position in delta_positions:
+                for rule, _body, passes in recursive:
+                    for pass_body, position in passes:
                         heads = [
                             rule.head.substitute(subst)
-                            for subst in self._solve(body, 0, {}, position, delta)
+                            for subst in self._solve(pass_body, 0, {}, position, delta)
                         ]
                         if collect:
                             self.rule_firings += len(heads)
@@ -396,6 +466,8 @@ class _Evaluator:
                     round_span.set(delta_out=len(new_delta))
             self._check_budget()
             delta = new_delta
+            if new is not None:
+                new.merge(delta)
 
     # -- body solving ------------------------------------------------
 
@@ -490,6 +562,19 @@ class _Evaluator:
                 yield unified
 
 
+def _joins(rule, body, positions, new):
+    """(body, delta position) pairs: one join per delta literal position
+    of the greedily ordered `body` (None: no delta literal).
+
+    Over a saturated base (`new` given) deltas are small, so each join
+    starts from its delta literal; a fresh evaluation keeps the greedy
+    order, where deltas are large.
+    """
+    if new is None:
+        return [(body, i) for i in positions]
+    return [(_order_body_items(rule.body, first=body[i]), 0) for i in positions]
+
+
 def _apply_aggregate(func, values):
     if func == "count":
         return len(set(values))
@@ -518,10 +603,15 @@ def _order_body(rule):
     return _order_body_items(list(rule.body))
 
 
-def _order_body_items(items):
+def _order_body_items(items, first=None):
+    """Greedy order of `items`, starting with `first` when given."""
     ordered = []
     bound: Set[Var] = set()
     remaining = list(items)
+    if first is not None:
+        remaining.remove(first)
+        ordered.append(first)
+        bound.update(first.variables())
     while remaining:
         chosen = None
         # Priority 1: ready builtins / negation / aggregate (cheap filters).

@@ -185,6 +185,23 @@ def _merge_independent_strata(strata, info):
     return merged
 
 
+def nonmonotone_dependencies(program):
+    """Signatures some negated or aggregated literal of `program`
+    depends on, directly or transitively.
+
+    Adding facts of any other relation can only add conclusions, which
+    is what lets :func:`~repro.datalog.engine.evaluate` extend a
+    saturated base by a delta instead of starting over.
+    """
+    info = build_dependency_graph(program)
+    guarded: Set[Signature] = set()
+    for _head, dep in sorted(info.negative_edges | info.aggregate_edges):
+        if dep not in guarded:
+            guarded.add(dep)
+            guarded.update(nx.descendants(info.graph, dep))
+    return frozenset(guarded)
+
+
 def is_aggregate_stratified(program):
     """True when no aggregate edge is recursive (negation may still be)."""
     return analyze_stratification(program).aggregate_stratified

@@ -106,12 +106,16 @@ class DomainMap:
         self.roles: Set[str] = set()
         self.axioms: List[Axiom] = []
         self.rules_text: List[str] = []
+        #: bumped by every mutator, so caches derived from the map
+        #: (the mediator's knowledge base) can tell they are stale
+        self.revision = 0
         self._synthetic_counter = 0
 
     # -- declaration -----------------------------------------------------
 
     def add_concept(self, name):
         self.concepts.add(name)
+        self.revision += 1
         return self
 
     def add_concepts(self, names):
@@ -121,6 +125,7 @@ class DomainMap:
 
     def add_role(self, name):
         self.roles.add(name)
+        self.revision += 1
         return self
 
     def add_roles(self, names):
@@ -157,6 +162,7 @@ class DomainMap:
             self.concepts.update(expr.named_concepts())
             self.roles.update(expr.roles())
         self.axioms.append(axiom)
+        self.revision += 1
         return axiom
 
     def add_axioms(self, text_or_axioms):
@@ -193,6 +199,7 @@ class DomainMap:
     def add_rule(self, datalog_text):
         """Attach logic rules (component (ii) of Definition 1)."""
         self.rules_text.append(datalog_text)
+        self.revision += 1
         return self
 
     # -- edge view -----------------------------------------------------------

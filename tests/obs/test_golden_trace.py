@@ -72,3 +72,33 @@ def test_trace_counts_the_evaluation_work(tracer):
     assert metrics.counter_total("planner.steps") == len(
         tracer.find_spans("plan.step")
     )
+
+
+def test_repeated_correlates_extend_the_base_by_a_delta():
+    """The golden run correlates once (path=fresh); the second correlate
+    of the same mediator saturates the base and evaluates its retrieved
+    rows as a delta on top, the third only runs the delta."""
+    mediator = build_scenario(include_anatom_source=True).mediator
+    traces = []
+    for _ in range(3):
+        with obs.capture("correlate") as tracer:
+            mediator.correlate(section5_query())
+        traces.append(tracer)
+    spans = [t.find_spans("mediator.evaluate_with") for t in traces]
+    assert [s.attrs["path"] for [s] in spans] == ["fresh", "delta", "delta"]
+
+    def evaluated_facts(span):
+        # strata directly below evaluate_with are the delta's; the
+        # fresh run's (and the base's) sit below flogic.evaluate
+        return sum(
+            s.attrs["facts_derived"]
+            for s in span.iter_spans()
+            if s.name == "datalog.stratum"
+            and (s.parent is span or span.attrs["path"] == "fresh")
+        )
+
+    [first], [second], [third] = spans
+    assert evaluated_facts(second) < evaluated_facts(first)
+    assert evaluated_facts(third) == evaluated_facts(second)
+    derived = [t.metrics.counter_total("datalog.facts_derived") for t in traces]
+    assert derived[2] < derived[0]

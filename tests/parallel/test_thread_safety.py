@@ -8,9 +8,12 @@ probabilistic, so the hammers use enough iterations to have failed
 reliably on the unlocked code.
 """
 
+import sys
 import threading
 
 from repro.cache.answers import AnswerCache, CacheEntry
+from repro.flogic.engine import FLogicEngine
+from repro.neuro import build_scenario, section5_query
 from repro.cache.store import DictStore, LRUStore
 from repro.obs.metrics import Metrics
 from repro.resilience import ResiliencePolicy, SourceGuard, VirtualClock
@@ -127,3 +130,39 @@ class TestJitterRngHammer:
         assert all(rng is rngs[0] for rng in rngs), (
             "concurrent first touches must converge on one RNG stream"
         )
+
+
+class TestSharedKnowledgeBaseHammer:
+    """Threads correlating on one mediator race through the revision's
+    first (fresh) evaluation, the base saturation and the delta path."""
+
+    @staticmethod
+    def _answers(result):
+        return repr(
+            [(group, d.rows) for group, d in result.answers]
+        ).encode()
+
+    def test_identical_answers_and_an_untouched_base(self):
+        mediator = build_scenario(eager=False).mediator
+        reference = build_scenario(eager=False).mediator
+        expected = self._answers(reference.correlate(section5_query()))
+        seen = [[] for _ in range(THREADS)]
+
+        def correlate(i):
+            for _ in range(4):
+                seen[i].append(
+                    self._answers(mediator.correlate(section5_query()))
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            hammer(correlate)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(answers == [expected] * 4 for answers in seen)
+        # the cached base still holds exactly the schema program's model
+        base = mediator._revision.bases[False].result.store
+        engine = FLogicEngine()
+        engine.tell_rules(mediator.assembled_rules(include_data=False))
+        assert base.same_facts(engine.evaluate().store)
