@@ -16,11 +16,10 @@ unchanged.  medcache exploits that in three layers:
 Invalidation is domain-map-aware: a registration, ``dm_refinement`` or
 ``add_view`` computes the *affected* anchored concepts via the graphops
 closures and drops exactly the dependent entries and materializations
-(:mod:`repro.cache.invalidation`) — no global flush, though
-``AnswerCache(full_flush_on_change=True)`` is the conservative escape
-hatch.  Correctness contract: a cache hit returns the same rows the
-source call would have (stale medguard results are never cached), so
-caching is invisible to answers, only to timings and wire traffic.
+(:mod:`repro.cache.invalidation`) — no global flush.  Correctness
+contract: a cache hit returns the same rows the source call would have
+(stale medguard results are never cached), so caching is invisible to
+answers, only to timings and wire traffic.
 
 Everything is off by default; with ``Mediator(cache=None)`` the hot
 path is a single ``is None`` check, same discipline as medtrace and

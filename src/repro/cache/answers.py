@@ -25,8 +25,6 @@ Invalidation semantics (the contract the mediator relies on):
   anchor-concept set is *uncacheable* (the MBM034 lint warning): the
   engine cannot scope its dependencies, so it dies on every
   deployment change.
-* ``full_flush_on_change=True`` is the conservative escape hatch:
-  any invalidation event flushes everything.
 """
 
 from __future__ import annotations
@@ -101,27 +99,20 @@ class AnswerCache:
         store: the :class:`~repro.cache.store.CacheStore` holding the
             entries (default: a bounded
             :class:`~repro.cache.store.LRUStore`).
-        full_flush_on_change: conservative mode — any deployment
-            change flushes every entry and materialization instead of
-            running the domain-map-aware invalidation.
 
-    Lookups, puts, and invalidation sweeps hold a re-entrant lock:
+    Lookups, puts, and invalidation sweeps hold a lock:
     medpar workers hit the cache concurrently, and the stats counters
     and sweep-then-discard loops are not atomic on their own.
     """
 
-    def __init__(self, store=None, full_flush_on_change=False):
+    def __init__(self, store=None):
         self.store: CacheStore = store if store is not None else LRUStore()
         self.stats = CacheStats()
         self.materializations: Dict[str, Materialization] = {}
-        #: conservative mode: any deployment change flushes everything
-        self.full_flush_on_change = full_flush_on_change
         #: set by the owning mediator so dropping a materialization
         #: resets the mediator's assembled engine
         self.on_materializations_changed = None
-        # re-entrant: flush() runs under invalidate()'s lock when
-        # full_flush_on_change is set
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     # -- entries ---------------------------------------------------------
 
@@ -201,8 +192,6 @@ class AnswerCache:
         module docstring for the exact overlap semantics.
         """
         with self._lock:
-            if self.full_flush_on_change:
-                return self.flush(reason=reason or "full_flush_on_change")
             concepts = frozenset(concepts)
             classes = frozenset(classes)
             dropped_entries = 0
@@ -245,7 +234,8 @@ class AnswerCache:
             return dropped
 
     def flush(self, reason="flush"):
-        """The escape hatch: drop every entry and materialization.
+        """Drop every entry and materialization (``repro cache
+        clear``).
 
         Args:
             reason: free-text reason recorded on the invalidation

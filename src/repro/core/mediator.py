@@ -357,10 +357,13 @@ class Mediator:
         """(message, size-in-bytes) pairs of XML messages exchanged."""
         return list(self._wire_log)
 
-    def source_query(self, source_name, source_query):
+    def source_query(self, source_name, source_query, context=None):
         """Send `source_query` (a :class:`~repro.sources.SourceQuery`)
         to the source named `source_name`, honouring
-        `dialogue_via_xml`.
+        `dialogue_via_xml`.  `context` is the
+        :class:`~repro.core.planner.PlanContext` making the call, if
+        any: the guard honours its deadline and hands it the call's
+        outcome.
 
         With the XML dialogue on, the request and answer cross the wire
         format of :mod:`repro.xmlio.messages` (and are logged); rows
@@ -383,8 +386,9 @@ class Mediator:
         """
         wrapper = self.wrapper(source_name)
         cache = self.cache
+        guard = self.resilience
         fingerprint = None
-        if cache is not None:
+        if cache is not None or guard is not None:
             fingerprint = query_fingerprint(
                 source_name,
                 source_query,
@@ -392,6 +396,7 @@ class Mediator:
                     source_query.class_name
                 ),
             )
+        if cache is not None:
             entry = cache.lookup(fingerprint)
             if entry is not None:
                 obs.event(
@@ -402,25 +407,29 @@ class Mediator:
                 obs.count("cache.hits", source=source_name)
                 return list(entry.rows)
             obs.count("cache.misses", source=source_name)
-        guard = self.resilience
         if guard is None:
             rows = self._source_query(wrapper, source_query)
             fresh = True
         else:
+            stale = []
+
+            def record(outcome):
+                # this call's own outcome: no other thread's call can
+                # be mistaken for it
+                stale.append(outcome.stale)
+                if context is not None:
+                    context.record_outcome(outcome)
+
             rows = guard.call(
                 source_name,
                 source_query.class_name,
                 lambda: self._source_query(wrapper, source_query),
-                cache_key=(
-                    tuple(sorted(source_query.selections.items())),
-                    tuple(source_query.projection)
-                    if source_query.projection is not None
-                    else None,
-                ),
+                key=fingerprint,
+                record=record,
+                deadline=None if context is None else context.deadline,
                 executor=self.parallel,
             )
-            outcome = guard.last_outcome()
-            fresh = outcome is None or not outcome.stale
+            fresh = not stale[0]
         if cache is not None and fresh:
             cache.store_answer(
                 fingerprint,
@@ -902,9 +911,9 @@ class Mediator:
 
         ``context.answers`` holds (group value, Distribution) pairs —
         the paper's ``answer(P, D)``.  With `skip_failed_sources` (or a
-        :class:`~repro.resilience.ResiliencePolicy` whose ``degrade``
-        is on), a failing source is recorded rather than aborting the
-        plan, and the result reports the partial answer per source.
+        :class:`~repro.resilience.ResiliencePolicy`), a failing source
+        is recorded rather than aborting the plan, and the result
+        reports the partial answer per source.
         """
         with obs.span("mediator.correlate", seed_class=query.seed_class) as span:
             query_plan, context = planner_execute(

@@ -24,14 +24,14 @@ covers raises :class:`~repro.errors.PlanningError` at *planning* time.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..cache.fingerprint import plan_fingerprint
 from ..errors import CapabilityError, PlanningError
 from ..domainmap.graphops import lub
-from ..parallel.executor import SingleFlight
+from ..parallel.executor import FanoutOutcome, SingleFlight
+from ..resilience.guard import STATUS_BREAKER_OPEN
 from ..sources.wrapper import SourceQuery
 from .aggregate import aggregate_over_dm
 
@@ -188,36 +188,32 @@ class RetrieveAnchoredStep(PlanStep):
 
         sources = list(context.selected_sources)
         executor = context.parallel
-        if executor is None or len(sources) <= 1:
-            collected = []
-            for source in sources:
-                try:
-                    collected.extend(self._retrieve_from(context, source))
-                except (SourceError, XMLTransportError) as exc:
-                    if not context.degrades_on_failure:
-                        raise
-                    context.record_skipped(source, exc)
-            context.retrieved = collected
-            return collected
 
-        # medpar fan-out: one task per selected source, merged back in
-        # source-name order (sources arrive sorted from step 2), so the
-        # answer — and every trace built from it — is independent of
-        # which worker finished first
-        outcomes = executor.map_ordered(
-            sources,
-            lambda source: self._retrieve_from(context, source),
-            kind="retrieve",
-        )
+        def retrieve(source):
+            return self._retrieve_from(context, source)
+
+        if executor is None or len(sources) <= 1:
+            # lazy: a failure that aborts the plan stops before the
+            # later sources are called
+            outcomes = (
+                FanoutOutcome.capture(retrieve, source) for source in sources
+            )
+        else:
+            # medpar fan-out: one task per selected source, merged back
+            # in source-name order (sources arrive sorted from step 2),
+            # so the answer — and every trace built from it — is
+            # independent of which worker finished first
+            outcomes = executor.map_ordered(sources, retrieve, kind="retrieve")
         collected = []
         for source, outcome in zip(sources, outcomes):
             if outcome.ok:
                 collected.extend(outcome.value)
                 continue
             exc = outcome.error
-            if not isinstance(exc, (SourceError, XMLTransportError)):
-                raise exc
-            if not context.degrades_on_failure:
+            if not (
+                context.degrades_on_failure
+                and isinstance(exc, (SourceError, XMLTransportError))
+            ):
                 raise exc
             context.record_skipped(source, exc)
         context.retrieved = collected
@@ -319,23 +315,22 @@ class AggregateStep(PlanStep):
 class PlanContext:
     """Mutable execution state threaded through the steps.
 
-    With `skip_failed_sources`, retrieval errors from individual
-    sources are recorded in `errors` instead of aborting the plan —
-    the remaining sources still answer (partial results are the norm
-    in federations of independently operated labs).  Skips are *not*
-    silent: each one is kept in `errors`, mirrored on the active
-    trace as a ``plan.source_skipped`` event, and summarized by
+    Everything one plan run owns lives here: the call memo, the plan
+    deadline, and the guard outcomes of its own calls — so concurrent
+    plans on one mediator never see each other's calls.
+
+    With `skip_failed_sources`, or under a resilience policy,
+    retrieval errors from individual sources are recorded in `errors`
+    instead of aborting the plan — the remaining sources still answer
+    (partial results are the norm in federations of independently
+    operated labs).  Skips are *not* silent: each one is kept in
+    `errors`, mirrored on the active trace as a
+    ``plan.source_skipped`` event, and summarized by
     :attr:`skipped_sources` / :attr:`degraded` / :meth:`failures` so
     callers can tell a complete answer from a partial one.
     """
 
-    def __init__(
-        self,
-        mediator,
-        skip_failed_sources=False,
-        outcome_mark=None,
-        call_memo=None,
-    ):
+    def __init__(self, mediator, skip_failed_sources=False):
         self.mediator = mediator
         self.rows: Dict = {}
         self.bindings: Dict = {}
@@ -343,26 +338,26 @@ class PlanContext:
         self.retrieved: List = []
         self.root: Optional[str] = None
         self.answers: List = []
-        self.skip_failed_sources = skip_failed_sources
         self.errors: List = []
-        #: within-plan memo of successful source calls, keyed by
-        #: fingerprint — :func:`execute` shares one memo between the
-        #: planning probe and the plan run, so identical calls inside
-        #: one correlate() execute once (even with no cache configured)
-        self.call_memo: Dict = {} if call_memo is None else call_memo
         #: the mediator's medpar executor (None = sequential plans)
         self.parallel = getattr(mediator, "parallel", None)
-        self._memo_lock = threading.Lock()
-        # coalesces concurrent identical source calls under fan-out:
-        # N workers asking the same (source, query) make one wire call
-        self._single_flight = SingleFlight()
         guard = mediator.resilience
-        #: slice of the guard's outcome log belonging to this plan
-        self._outcome_mark = (
-            outcome_mark
-            if outcome_mark is not None
-            else (guard.mark() if guard is not None else 0)
-        )
+        #: does a retrieval failure degrade the answer instead of
+        #: aborting?  Under `skip_failed_sources` or any guard.
+        self.degrades_on_failure = skip_failed_sources or guard is not None
+        #: the plan's deadline on the guard policy's clock, armed when
+        #: the plan starts (None = unbounded)
+        self.deadline: Optional[float] = None
+        if guard is not None and guard.policy.plan_deadline is not None:
+            self.deadline = guard.policy.clock() + guard.policy.plan_deadline
+        #: :class:`~repro.resilience.CallOutcome` of every guarded call
+        #: this plan made (appended by worker threads under fan-out)
+        self.outcomes: List = []
+        self._lock = threading.Lock()
+        #: the within-plan call memo, shared by the planning probe and
+        #: the plan run: identical calls execute once per plan (even
+        #: with no cache), concurrent ones once per fan-out
+        self._calls = SingleFlight()
 
     def source_query(self, source, source_query):
         """One plan-scoped source call, deduplicated within the plan.
@@ -376,49 +371,39 @@ class PlanContext:
         ``fanout.coalesced``).  Only successful calls are memoized;
         failures propagate and are retried per attempt as before.
         """
-        key = plan_fingerprint(source, source_query)
-        memo = self.call_memo
-        with self._memo_lock:
-            hit = key in memo  # empty row lists are valid answers
-            if hit:
-                rows = memo[key]
-        if hit:
-            self._record_dedup(source, source_query.class_name)
-            return list(rows)
+        class_name = source_query.class_name
 
-        def fetch():
-            rows = self.mediator.source_query(source, source_query)
-            with self._memo_lock:
-                memo[key] = rows
-            return rows
-
-        if self.parallel is None:
-            return fetch()
+        def dedup():
+            obs.event("cache.dedup", source=source, class_name=class_name)
+            obs.count("cache.dedup", source=source)
 
         def coalesced():
-            self._record_dedup(source, source_query.class_name)
+            dedup()
             obs.count("fanout.coalesced", source=source)
 
-        return list(
-            self._single_flight.run(key, fetch, on_coalesced=coalesced)
+        rows = self._calls.run(
+            plan_fingerprint(source, source_query),
+            lambda: self.mediator.source_query(
+                source, source_query, context=self
+            ),
+            on_hit=dedup,
+            on_coalesced=coalesced,
         )
+        return list(rows)
 
-    def _record_dedup(self, source, class_name):
-        obs.event("cache.dedup", source=source, class_name=class_name)
-        obs.count("cache.dedup", source=source)
+    def record_outcome(self, outcome):
+        """Keep the :class:`~repro.resilience.CallOutcome` of one of
+        this plan's guarded calls (thread-safe)."""
+        with self._lock:
+            self.outcomes.append(outcome)
 
-    @property
-    def degrades_on_failure(self):
-        """Does a retrieval failure degrade the answer instead of
-        aborting?  True under ``skip_failed_sources`` or a resilience
-        policy with ``degrade`` on."""
-        if self.skip_failed_sources:
-            return True
-        guard = self.mediator.resilience
-        return guard is not None and guard.policy.degrade
+    def _own_outcomes(self):
+        with self._lock:
+            return list(self.outcomes)
 
     def record_skipped(self, source, exc):
-        """Record one source skipped under `skip_failed_sources`."""
+        """Record one source skipped: its failure degrades the answer
+        instead of aborting the plan."""
         self.errors.append((source, exc))
         obs.event(
             "plan.source_skipped",
@@ -440,12 +425,9 @@ class PlanContext:
         missing or substituting that source's contribution."""
         if self.errors:
             return True
-        guard = self.mediator.resilience
-        if guard is None:
-            return False
         return any(
-            outcome.stale or outcome.status == "breaker-open"
-            for outcome in guard.outcomes_since(self._outcome_mark)
+            outcome.stale or outcome.status == STATUS_BREAKER_OPEN
+            for outcome in self._own_outcomes()
         )
 
     def failures(self):
@@ -467,13 +449,9 @@ class PlanContext:
         resilience policy."""
         from ..resilience.report import build_degraded_answer
 
-        guard = self.mediator.resilience
-        outcomes = (
-            guard.outcomes_since(self._outcome_mark)
-            if guard is not None
-            else ()
+        return build_degraded_answer(
+            self._own_outcomes(), self.errors, guard=self.mediator.resilience
         )
-        return build_degraded_answer(outcomes, self.errors, guard=guard)
 
 
 class QueryPlan:
@@ -492,33 +470,20 @@ class QueryPlan:
             for i, step in enumerate(self.steps)
         )
 
-    def execute(
-        self,
-        mediator,
-        skip_failed_sources=False,
-        outcome_mark=None,
-        call_memo=None,
-    ):
-        context = PlanContext(
-            mediator,
-            skip_failed_sources=skip_failed_sources,
-            outcome_mark=outcome_mark,
-            call_memo=call_memo,
-        )
-        guard = mediator.resilience
-        scope = guard.plan_scope() if guard is not None else nullcontext()
-        with scope:
-            for index, step in enumerate(self.steps):
-                with obs.span(
-                    "plan.step",
-                    index=index + 1,
-                    kind=step.kind,
-                    describe=step.describe(),
-                ) as span:
-                    output = step.run(context)
-                    if span.enabled:
-                        span.set(cardinality=_cardinality(output))
-                        obs.count("planner.steps", kind=step.kind)
+    def execute(self, context):
+        """Run the steps on `context` (a :class:`PlanContext`, the one
+        :func:`plan` probed with); returns it."""
+        for index, step in enumerate(self.steps):
+            with obs.span(
+                "plan.step",
+                index=index + 1,
+                kind=step.kind,
+                describe=step.describe(),
+            ) as span:
+                output = step.run(context)
+                if span.enabled:
+                    span.set(cardinality=_cardinality(output))
+                    obs.count("planner.steps", kind=step.kind)
         return context
 
 
@@ -531,23 +496,27 @@ def _cardinality(output):
     return 1
 
 
-def plan(mediator, query, call_memo=None):
+def plan(mediator, query, context=None):
     """Plan a :class:`CorrelationQuery` (without executing it).
 
     Performs capability checks up front: the seed selections must be
-    answerable by the seed source's binding patterns.  `call_memo`
-    lets :func:`execute` share the planning probe's seed call with
-    the plan run (within-plan dedup).
+    answerable by the seed source's binding patterns.  The planning
+    probe (step 1, run eagerly) runs on `context`, a
+    :class:`PlanContext` (a fresh one when None): :func:`execute`
+    passes the context the plan then runs on, so the probe's seed
+    call is not re-issued by step 1.
     """
+    if context is None:
+        context = PlanContext(mediator)
     with obs.span(
         "plan.build",
         seed_class=query.seed_class,
         target_class=query.target_class,
     ):
-        return _plan(mediator, query, call_memo)
+        return _plan(mediator, query, context)
 
 
-def _plan(mediator, query, call_memo=None):
+def _plan(mediator, query, context):
     seed_source = query.seed_source
     if seed_source is None:
         exporters = [
@@ -580,9 +549,8 @@ def _plan(mediator, query, call_memo=None):
     step1 = PushSelectionStep(
         seed_source, query.seed_class, query.seed_selections, query.anchor_attrs
     )
-    probe_context = PlanContext(mediator, call_memo=call_memo)
-    step1.run(probe_context)
-    concept_pairs = probe_context.bindings.get(query.anchor_attrs, [])
+    step1.run(context)
+    concept_pairs = context.bindings.get(query.anchor_attrs, [])
     concepts = sorted({c for pair in concept_pairs for c in pair if c})
     for concept in concepts:
         mediator.dm.require_concept(concept)
@@ -608,26 +576,15 @@ def _plan(mediator, query, call_memo=None):
 def execute(mediator, query, skip_failed_sources=False):
     """Plan and execute; returns (plan, context).
 
-    With `skip_failed_sources` (or a resilience policy that degrades),
-    a source failing during retrieval is recorded in
-    ``context.errors`` and the plan continues with the remaining
-    sources.  The whole run — the planning probe included — shares one
-    resilience deadline budget, outcome-log slice, and within-plan
-    call memo (so the probe's seed query is not re-issued by step 1).
+    With `skip_failed_sources` (or a resilience policy), a source
+    failing during retrieval is recorded in ``context.errors`` and the
+    plan continues with the remaining sources.  The planning probe and
+    the plan run share one :class:`PlanContext`: one deadline budget,
+    one outcome list, one call memo.
     """
-    guard = mediator.resilience
-    mark = guard.mark() if guard is not None else None
-    scope = guard.plan_scope() if guard is not None else nullcontext()
-    call_memo: Dict = {}
-    with scope:
-        query_plan = plan(mediator, query, call_memo=call_memo)
-        context = query_plan.execute(
-            mediator,
-            skip_failed_sources=skip_failed_sources,
-            outcome_mark=mark,
-            call_memo=call_memo,
-        )
-    return query_plan, context
+    context = PlanContext(mediator, skip_failed_sources=skip_failed_sources)
+    query_plan = plan(mediator, query, context=context)
+    return query_plan, query_plan.execute(context)
 
 
 class CorrelationResult(tuple):
@@ -780,19 +737,10 @@ def explain(mediator, query, skip_failed_sources=False):
     Like SQL ``EXPLAIN ANALYZE``, this runs the query: cardinalities
     and timings are measured, not estimated.
     """
-    guard = mediator.resilience
-    mark = guard.mark() if guard is not None else None
-    scope = guard.plan_scope() if guard is not None else nullcontext()
-    call_memo: Dict = {}
     with obs.capture("explain") as tracer:
-        with scope:
-            query_plan = plan(mediator, query, call_memo=call_memo)
-            context = query_plan.execute(
-                mediator,
-                skip_failed_sources=skip_failed_sources,
-                outcome_mark=mark,
-                call_memo=call_memo,
-            )
+        query_plan, context = execute(
+            mediator, query, skip_failed_sources=skip_failed_sources
+        )
     steps = []
     for span in tracer.find_spans("plan.step"):
         steps.append(

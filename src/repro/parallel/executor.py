@@ -16,9 +16,9 @@ primitives plan execution needs:
 
 Both primitives adopt the submitting thread's current medtrace span as
 the worker's parent, so ``plan.step`` trees stay well-nested across
-threads.  :class:`SingleFlight` coalesces concurrent identical calls
-onto one in-flight future (within-plan dedup under fan-out: N workers
-asking the same source question cost one wire call).
+threads.  :class:`SingleFlight` is a plan's call memo: identical calls
+run once, and concurrent ones wait on the one in-flight future (N
+workers asking the same source question cost one wire call).
 
 The layer follows the house discipline: ``Mediator(parallel=...)``
 defaults to off, costing the sequential path a single ``is None``
@@ -223,51 +223,52 @@ class ParallelExecutor:
 
 
 class SingleFlight:
-    """Coalesces concurrent identical calls onto one in-flight future.
+    """A plan's call memo: one execution per key, shared by every caller.
 
     The first caller of a key becomes the *owner* and executes the
-    work; concurrent callers of the same key block on the owner's
-    future and share its result (or its exception) without issuing the
-    call themselves.  Completion removes the key, so a failed call is
-    retryable while a successful one is typically memoized by the
-    caller (only successes deserve to stick).
+    work; later callers share its result without issuing the call
+    themselves — from the memo once it completed, or by blocking on
+    the in-flight future while it runs (N fan-out workers asking the
+    same source question cost one wire call).  Only successes stick: a
+    failure is shared with the callers already waiting on it, then the
+    key is dropped, so the call stays retryable.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._in_flight: Dict[object, Future] = {}
+        self._calls: Dict[object, Future] = {}
 
-    def run(self, key, fn, on_coalesced=None):
-        """Run ``fn()`` under `key`, coalescing concurrent duplicates.
+    def run(self, key, fn, on_hit=None, on_coalesced=None):
+        """Run ``fn()`` under `key` unless a caller already did.
 
         Args:
             key: identity of the call (e.g. a plan fingerprint).
             fn: zero-argument callable performing the work.
-            on_coalesced: called (with no arguments) on a waiter that
-                shared an in-flight result instead of executing.
+            on_hit: called (with no arguments) on a caller served a
+                completed result from the memo.
+            on_coalesced: called (with no arguments) on a caller that
+                waited on an in-flight call instead of executing.
         """
         with self._lock:
-            future = self._in_flight.get(key)
+            future = self._calls.get(key)
             owner = future is None
             if owner:
-                future = Future()
-                self._in_flight[key] = future
+                future = self._calls[key] = Future()
         if not owner:
-            if on_coalesced is not None:
-                on_coalesced()
+            callback = on_hit if future.done() else on_coalesced
+            if callback is not None:
+                callback()
             return future.result()
         try:
             value = fn()
         except BaseException as exc:
             with self._lock:
-                self._in_flight.pop(key, None)
+                del self._calls[key]
             future.set_exception(exc)
             raise
-        with self._lock:
-            self._in_flight.pop(key, None)
         future.set_result(value)
         return value
 
     def __repr__(self):
         with self._lock:
-            return "SingleFlight(in_flight=%d)" % len(self._in_flight)
+            return "SingleFlight(calls=%d)" % len(self._calls)

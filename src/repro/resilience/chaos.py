@@ -208,7 +208,6 @@ def run_chaos_scenario(seed, max_retries=2, parallel=False):
         seed=seed,
         breaker_threshold=max_retries + 1,
         breaker_cooldown=120.0,
-        degrade=True,
         clock=clock.now,
         sleep=clock.sleep,
     )
@@ -351,7 +350,6 @@ class ChaosHarness:
             seed=self.seed,
             breaker_threshold=2 * self.max_retries + 2,
             breaker_cooldown=60.0,
-            degrade=True,
             clock=self.clock.now,
             sleep=self.clock.sleep,
         )
@@ -430,17 +428,11 @@ class ChaosHarness:
 
     def failed_attempts_absorbed(self):
         """Failed attempts the guards saw (retried or degraded)."""
-        total = 0
-        for mediator in self.mediators:
-            guard = mediator.resilience
-            if guard is None:
-                continue
-            for outcome in guard.outcomes:
-                successes = (
-                    1 if outcome.status in (STATUS_OK, STATUS_RETRIED) else 0
-                )
-                total += outcome.attempts - successes
-        return total
+        return sum(
+            mediator.resilience.failed_attempts
+            for mediator in self.mediators
+            if mediator.resilience is not None
+        )
 
     def contract_checks(self, error):
         checks = [

@@ -13,19 +13,20 @@ under one :class:`~repro.resilience.policy.ResiliencePolicy`:
 * a per-call timeout and a whole-plan deadline budget bound how long a
   plan waits for misbehaving sources.
 
-Every call appends a :class:`CallOutcome` to the guard's log;
-:meth:`SourceGuard.mark` / :meth:`outcomes_since` let a plan slice out
-exactly its own calls for the degraded-answer report.  Retry, breaker,
-and staleness activity also flows to medtrace (``resilience.*``
-counters and events) when a tracer is installed.
+The guard keeps only state that spans plans: breakers, jitter streams
+and the last-known-good store.  Each call hands its
+:class:`CallOutcome` to the caller's ``record`` callback, and the
+caller passes its plan's deadline in, so every plan reports exactly
+its own calls.  Retry, breaker, and staleness activity also flows to
+medtrace (``resilience.*`` counters and events) when a tracer is
+installed.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from .. import obs
 from ..errors import (
@@ -111,7 +112,6 @@ class SourceGuard:
         self.breakers = BreakerRegistry(
             self.policy.breaker_threshold, self.policy.breaker_cooldown
         )
-        self.outcomes: List[CallOutcome] = []
         #: per-``(source, class)`` jitter streams: a single shared RNG
         #: would make jitter draws depend on the *interleaving* of
         #: concurrent calls under medpar fan-out; independent streams
@@ -119,14 +119,12 @@ class SourceGuard:
         #: backoff sequence of every pair deterministic regardless of
         #: scheduling
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
-        self._cache = {}
+        #: last known good rows per call fingerprint (``serve_stale``)
+        self._last_good = {}
         self._lock = threading.Lock()
-        #: optional :class:`~repro.parallel.ParallelExecutor` enforcing
-        #: ``call_timeout`` as a true wall-clock bound (set by the
-        #: mediator, or per call via the ``executor`` argument)
-        self.executor = None
-        self._scope_depth = 0
-        self._deadline_at: Optional[float] = None
+        #: failed attempts over the guard's lifetime, whether they were
+        #: retried, served stale or raised
+        self.failed_attempts = 0
 
     def _jitter_rng(self, source, class_name):
         key = (source, class_name)
@@ -142,71 +140,35 @@ class SourceGuard:
                 self._rngs[key] = rng
             return rng
 
-    # -- plan deadline scope ----------------------------------------------
-
-    @contextmanager
-    def plan_scope(self):
-        """Arms the plan deadline budget for the dynamic extent of one
-        query plan (re-entrant: nested scopes share the outer budget)."""
-        self._scope_depth += 1
-        if self._scope_depth == 1 and self.policy.plan_deadline is not None:
-            self._deadline_at = self.policy.clock() + self.policy.plan_deadline
-        try:
-            yield self
-        finally:
-            self._scope_depth -= 1
-            if self._scope_depth == 0:
-                self._deadline_at = None
-
-    def deadline_remaining(self):
-        """Seconds left in the plan budget (None = unbounded)."""
-        if self._deadline_at is None:
-            return None
-        return self._deadline_at - self.policy.clock()
-
-    # -- outcome log -------------------------------------------------------
-
-    def mark(self):
-        """A position in the outcome log (pair with outcomes_since)."""
-        return len(self.outcomes)
-
-    def outcomes_since(self, mark):
-        return self.outcomes[mark:]
-
-    def last_outcome(self):
-        """The most recent :class:`CallOutcome` (None before any call).
-
-        medcache consults this right after :meth:`call` to tell a
-        fresh answer from a stale-served one: only fresh results are
-        written into the answer cache, so a last-known-good fallback
-        never outlives the failure it papered over.
-        """
-        return self.outcomes[-1] if self.outcomes else None
-
-    def _record(self, outcome):
-        self.outcomes.append(outcome)
-        return outcome
-
     # -- the guarded call --------------------------------------------------
 
-    def call(self, source, class_name, fn, cache_key=None, executor=None):
+    def call(
+        self, source, class_name, fn, key=None, record=None, deadline=None,
+        executor=None,
+    ):
         """Run ``fn()`` (one source call) under the policy.
 
         Args:
             source: source name (breaker / outcome / metric key).
             class_name: exported class being called.
             fn: zero-argument callable performing the source call.
-            cache_key: hashable identity of the call for the
-                ``serve_stale`` last-known-good cache (None disables
+            key: the call's fingerprint, its identity in the
+                ``serve_stale`` last-known-good store (None disables
                 staleness for this call).
+            record: optional callable handed this call's
+                :class:`CallOutcome` before the call returns or raises
+                (not called when `fn` raises an unexpected exception
+                type, which propagates unretried).
+            deadline: the calling plan's deadline on the policy clock
+                (None = unbounded); once it passes, no further retries
+                or backoff sleeps are attempted.
             executor: optional
-                :class:`~repro.parallel.ParallelExecutor` overriding
-                :attr:`self.executor` for this call.  When one is set,
-                the policy has a ``call_timeout``, and the policy runs
-                on the real wall clock, each attempt is run through
-                :meth:`~repro.parallel.ParallelExecutor.call` so the
-                timeout truly abandons a hung attempt instead of only
-                measuring it after the fact.
+                :class:`~repro.parallel.ParallelExecutor`.  When one is
+                given, the policy has a ``call_timeout``, and the
+                policy runs on the real wall clock, each attempt is run
+                through :meth:`~repro.parallel.ParallelExecutor.call`
+                so the timeout truly abandons a hung attempt instead of
+                only measuring it after the fact.
 
         Returns `fn`'s result — possibly a cached stale one.  Raises
         the last failure (normalized by the caller's boundary) when
@@ -215,8 +177,20 @@ class SourceGuard:
         rejects the call outright.
         """
         policy = self.policy
-        if executor is None:
-            executor = self.executor
+
+        def report(status, attempts, breaker_state, error=None):
+            if record is not None:
+                record(
+                    CallOutcome(
+                        source,
+                        class_name,
+                        status,
+                        attempts,
+                        breaker_state,
+                        error=error,
+                    )
+                )
+
         # wall-clock enforcement only under the real clock: a virtual
         # clock (chaos harness) keeps the deterministic measured-
         # elapsed check below
@@ -232,19 +206,11 @@ class SourceGuard:
             obs.event(
                 "resilience.breaker_open", source=source, class_name=class_name
             )
-            stale = self._stale_lookup(source, class_name, cache_key, "open")
+            stale = self._last_known_good(source, class_name, key)
             if stale is not None:
+                report(STATUS_STALE, 0, "open")
                 return stale
-            self._record(
-                CallOutcome(
-                    source,
-                    class_name,
-                    STATUS_BREAKER_OPEN,
-                    0,
-                    "open",
-                    error="breaker open",
-                )
-            )
+            report(STATUS_BREAKER_OPEN, 0, "open", "breaker open")
             raise BreakerOpenError(
                 "circuit breaker open for %s.%s" % (source, class_name),
                 source=source,
@@ -278,21 +244,17 @@ class SourceGuard:
                     obs.count("resilience.timeout", source=source)
                 else:
                     breaker.record_success()
-                    if policy.serve_stale and cache_key is not None:
+                    if policy.serve_stale and key is not None:
                         with self._lock:
-                            self._cache[
-                                (source, class_name, cache_key)
-                            ] = result
-                    self._record(
-                        CallOutcome(
-                            source,
-                            class_name,
-                            STATUS_OK if attempts == 1 else STATUS_RETRIED,
-                            attempts,
-                            breaker.state(policy.clock()),
-                        )
+                            self._last_good[key] = result
+                    report(
+                        STATUS_OK if attempts == 1 else STATUS_RETRIED,
+                        attempts,
+                        breaker.state(policy.clock()),
                     )
                     return result
+            with self._lock:
+                self.failed_attempts += 1
             opened = breaker.record_failure(policy.clock())
             if opened:
                 obs.count("resilience.breaker_opened", source=source)
@@ -302,14 +264,17 @@ class SourceGuard:
                     class_name=class_name,
                     failures=breaker.failures,
                 )
-            if attempts > policy.max_retries or not self._may_retry():
+            if attempts > policy.max_retries:
+                break
+            remaining = None if deadline is None else deadline - policy.clock()
+            if remaining is not None and remaining <= 0:
+                obs.count("resilience.deadline_exhausted")
                 break
             delay = policy.backoff_delay(
                 attempts, self._jitter_rng(source, class_name)
             )
-            remaining = self.deadline_remaining()
             if remaining is not None:
-                delay = min(delay, max(0.0, remaining))
+                delay = min(delay, remaining)
             obs.count("resilience.retry", source=source)
             obs.event(
                 "resilience.retry",
@@ -321,60 +286,32 @@ class SourceGuard:
             if delay > 0:
                 policy.sleep(delay)
 
-        stale = self._stale_lookup(
-            source,
-            class_name,
-            cache_key,
-            breaker.state(policy.clock()),
-            attempts=attempts,
-            error=_error_text(last_exc),
-        )
+        breaker_state = breaker.state(policy.clock())
+        error = _error_text(last_exc)
+        stale = self._last_known_good(source, class_name, key)
         if stale is not None:
+            report(STATUS_STALE, attempts, breaker_state, error)
             return stale
-        self._record(
-            CallOutcome(
-                source,
-                class_name,
-                STATUS_FAILED,
-                attempts,
-                breaker.state(policy.clock()),
-                error=_error_text(last_exc),
-            )
-        )
+        report(STATUS_FAILED, attempts, breaker_state, error)
         raise last_exc
 
-    def _may_retry(self):
-        remaining = self.deadline_remaining()
-        if remaining is not None and remaining <= 0:
-            obs.count("resilience.deadline_exhausted")
-            return False
-        return True
-
-    def _stale_lookup(
-        self, source, class_name, cache_key, breaker_state, attempts=0,
-        error=None,
-    ):
-        if not self.policy.serve_stale or cache_key is None:
+    def _last_known_good(self, source, class_name, key):
+        """The rows ``serve_stale`` may serve for `key` (None = none)."""
+        if not self.policy.serve_stale or key is None:
             return None
         with self._lock:
-            cached = self._cache.get((source, class_name, cache_key))
-        if cached is None:
-            return None
-        obs.count("resilience.stale_served", source=source)
-        obs.event(
-            "resilience.stale_served", source=source, class_name=class_name
-        )
-        self._record(
-            CallOutcome(
-                source,
-                class_name,
-                STATUS_STALE,
-                attempts,
-                breaker_state,
-                error=error,
+            rows = self._last_good.get(key)
+        if rows is not None:
+            obs.count("resilience.stale_served", source=source)
+            obs.event(
+                "resilience.stale_served",
+                source=source,
+                class_name=class_name,
             )
-        )
-        return cached
+        return rows
 
     def __repr__(self):
-        return "SourceGuard(%r, outcomes=%d)" % (self.policy, len(self.outcomes))
+        return "SourceGuard(%r, failed_attempts=%d)" % (
+            self.policy,
+            self.failed_attempts,
+        )

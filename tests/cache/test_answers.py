@@ -146,16 +146,6 @@ class TestMaterializationInvalidation:
 
 
 class TestFullFlush:
-    def test_escape_hatch_flushes_everything(self):
-        cache = cache_with(("k", ["Glia"]), full_flush_on_change=True)
-        cache.add_materialization(
-            Materialization("v", [], concepts=["Glia"])
-        )
-        entries, mats = cache.invalidate(concepts=["Neuron"], reason="t")
-        assert (entries, mats) == (1, 1)
-        assert cache.entry_count == 0
-        assert cache.stats.flushes == 1
-
     def test_explicit_flush(self):
         cache = cache_with(("k", ["A"]))
         cache.add_materialization(Materialization("v", []))

@@ -145,25 +145,6 @@ class TestSelectiveInvalidation:
         mediator.deregister("CELLS")
         assert self.cached_sources(mediator) == ["GLIA"]
 
-    def test_full_flush_escape_hatch(self):
-        mediator = Mediator(
-            build_dm(),
-            name="m",
-            cache=AnswerCache(full_flush_on_change=True),
-        )
-        mediator.register(build_cells_wrapper(), eager=False)
-        mediator.register(build_glia_wrapper(), eager=False)
-        self.populate(mediator)
-        mediator.register(
-            build_third_wrapper(),
-            dm_refinement="Basket_Cell < Neuron",
-            eager=False,
-        )
-        assert mediator.cache.entry_count == 0
-        # conservative by design: *every* deployment change flushed
-        # (the two initial registrations plus the refinement)
-        assert mediator.cache.stats.flushes == 3
-
 
 def build_third_wrapper(name="EXTRA", class_name="x"):
     from repro.sources import Column, RelStore, Wrapper

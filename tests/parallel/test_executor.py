@@ -158,12 +158,23 @@ class TestWallClockTimeout:
 
 
 class TestSingleFlight:
-    def test_sequential_calls_both_execute(self):
+    def test_sequential_repeat_is_served_from_the_memo(self):
         flight = SingleFlight()
         calls = []
+        hits = []
         assert flight.run("k", lambda: calls.append(1) or "a") == "a"
-        assert flight.run("k", lambda: calls.append(2) or "b") == "b"
-        assert calls == [1, 2]
+        assert (
+            flight.run(
+                "k",
+                lambda: calls.append(2) or "b",
+                on_hit=lambda: hits.append(1),
+                on_coalesced=lambda: hits.append("waited"),
+            )
+            == "a"
+        )
+        assert flight.run("other", lambda: calls.append(3) or "c") == "c"
+        assert calls == [1, 3]
+        assert hits == [1]
 
     def test_concurrent_identical_calls_coalesce(self):
         flight = SingleFlight()

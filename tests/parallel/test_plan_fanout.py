@@ -105,13 +105,16 @@ class TestGuardTimeoutThroughExecutor:
             hung.wait(5.0)
             return "rows"
 
+        outcomes = []
         start = time.perf_counter()
         with pytest.raises(SourceTimeoutError):
-            guard.call("S", "c", hang, executor=executor)
+            guard.call(
+                "S", "c", hang, record=outcomes.append, executor=executor
+            )
         elapsed = time.perf_counter() - start
         hung.set()
         assert elapsed < 2.0, "the hung wrapper was waited out"
-        assert guard.outcomes[-1].status == "failed"
+        assert outcomes[-1].status == "failed"
 
     def test_timeout_then_retry_recovers(self):
         policy = ResiliencePolicy(call_timeout=0.05, max_retries=1,
@@ -126,9 +129,14 @@ class TestGuardTimeoutThroughExecutor:
                 hung.wait(5.0)
             return "rows"
 
-        assert guard.call("S", "c", sometimes_hung, executor=executor) == "rows"
+        outcomes = []
+        rows = guard.call(
+            "S", "c", sometimes_hung, record=outcomes.append,
+            executor=executor,
+        )
+        assert rows == "rows"
         hung.set()
-        assert guard.outcomes[-1].status == "retried"
+        assert outcomes[-1].status == "retried"
 
     def test_virtual_clock_keeps_the_deterministic_path(self):
         """Chaos runs use a virtual clock; the executor must stay cold
@@ -167,7 +175,7 @@ class _CountingMediator:
         self.calls = []
         self._lock = threading.Lock()
 
-    def source_query(self, source, source_query):
+    def source_query(self, source, source_query, context=None):
         with self._lock:
             self.calls.append((source, source_query.class_name))
         if self.gate is not None:

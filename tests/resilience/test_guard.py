@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import BreakerOpenError, SourceError, SourceTimeoutError
+from repro.parallel import build_fanout_deployment
 from repro.resilience import (
     ResiliencePolicy,
     STATUS_BREAKER_OPEN,
@@ -19,6 +20,30 @@ def make_guard(clock=None, **kwargs):
     clock = clock if clock is not None else VirtualClock()
     policy = ResiliencePolicy(clock=clock.now, sleep=clock.sleep, **kwargs)
     return SourceGuard(policy), clock
+
+
+class DeadlineRecordingGuard(SourceGuard):
+    """A guard noting the plan deadline each call was handed."""
+
+    def __init__(self, policy):
+        super().__init__(policy)
+        self.deadlines = []
+
+    def call(self, *args, deadline=None, **kwargs):
+        self.deadlines.append(deadline)
+        return super().call(*args, deadline=deadline, **kwargs)
+
+
+def deadline_deployment(plan_deadline):
+    """A fan-out deployment guarded on a virtual clock."""
+    mediator, query = build_fanout_deployment(sources=2, delay=0.0)
+    clock = VirtualClock()
+    mediator.resilience = DeadlineRecordingGuard(
+        ResiliencePolicy(
+            clock=clock.now, sleep=clock.sleep, plan_deadline=plan_deadline
+        )
+    )
+    return mediator, query, clock
 
 
 class Flaky:
@@ -40,8 +65,10 @@ class Flaky:
 class TestRetries:
     def test_first_try_success_is_ok(self):
         guard, _clock = make_guard()
-        assert guard.call("S", "c", lambda: "rows") == "rows"
-        (outcome,) = guard.outcomes
+        outcomes = []
+        rows = guard.call("S", "c", lambda: "rows", record=outcomes.append)
+        assert rows == "rows"
+        (outcome,) = outcomes
         assert outcome.status == STATUS_OK
         assert outcome.attempts == 1
         assert outcome.retries == 0
@@ -49,8 +76,9 @@ class TestRetries:
     def test_transient_failure_recovers_via_retry(self):
         guard, clock = make_guard(max_retries=2, backoff_base=0.1)
         flaky = Flaky(failures=1)
-        assert guard.call("S", "c", flaky) == "rows"
-        (outcome,) = guard.outcomes
+        outcomes = []
+        assert guard.call("S", "c", flaky, record=outcomes.append) == "rows"
+        (outcome,) = outcomes
         assert outcome.status == STATUS_RETRIED
         assert outcome.attempts == 2
         assert outcome.retries == 1
@@ -66,10 +94,11 @@ class TestRetries:
     def test_exhausted_retries_raise_the_last_error(self):
         guard, _clock = make_guard(max_retries=2)
         flaky = Flaky(failures=99)
+        outcomes = []
         with pytest.raises(SourceError):
-            guard.call("S", "c", flaky)
+            guard.call("S", "c", flaky, record=outcomes.append)
         assert flaky.calls == 3  # 1 + max_retries
-        (outcome,) = guard.outcomes
+        (outcome,) = outcomes
         assert outcome.status == STATUS_FAILED
         assert outcome.attempts == 3
         assert "SourceError" in outcome.error
@@ -105,12 +134,13 @@ class TestBreaker:
             with pytest.raises(SourceError):
                 guard.call("S", "c", flaky)
         # breaker now open: the source is not even contacted
+        outcomes = []
         with pytest.raises(BreakerOpenError) as excinfo:
-            guard.call("S", "c", flaky)
+            guard.call("S", "c", flaky, record=outcomes.append)
         assert flaky.calls == 2
         assert excinfo.value.source == "S"
         assert excinfo.value.class_name == "c"
-        assert guard.outcomes[-1].status == STATUS_BREAKER_OPEN
+        assert outcomes[-1].status == STATUS_BREAKER_OPEN
 
     def test_half_open_probe_recovers_the_source(self):
         guard, clock = make_guard(
@@ -136,16 +166,17 @@ class TestStaleness:
     def test_serves_last_known_good_when_down(self):
         guard, _clock = make_guard(max_retries=0, serve_stale=True)
         key = ("q",)
-        assert guard.call("S", "c", lambda: ["fresh"], cache_key=key) == [
-            "fresh"
-        ]
+        assert guard.call("S", "c", lambda: ["fresh"], key=key) == ["fresh"]
 
         def down():
             raise SourceError("gone")
 
-        assert guard.call("S", "c", down, cache_key=key) == ["fresh"]
-        assert guard.outcomes[-1].status == STATUS_STALE
-        assert guard.outcomes[-1].stale
+        outcomes = []
+        assert guard.call("S", "c", down, key=key, record=outcomes.append) == [
+            "fresh"
+        ]
+        assert outcomes[-1].status == STATUS_STALE
+        assert outcomes[-1].stale
 
     def test_stale_serving_requires_a_prior_answer(self):
         guard, _clock = make_guard(max_retries=0, serve_stale=True)
@@ -154,33 +185,36 @@ class TestStaleness:
             raise SourceError("gone")
 
         with pytest.raises(SourceError):
-            guard.call("S", "c", down, cache_key=("q",))
+            guard.call("S", "c", down, key=("q",))
 
     def test_breaker_open_can_serve_stale(self):
         guard, _clock = make_guard(
             max_retries=0, breaker_threshold=1, serve_stale=True
         )
         key = ("q",)
-        guard.call("S", "c", lambda: ["fresh"], cache_key=key)
+        guard.call("S", "c", lambda: ["fresh"], key=key)
 
         def down():
             raise SourceError("gone")
 
         with pytest.raises(SourceError):
-            guard.call("S", "c", down, cache_key=("other",))
+            guard.call("S", "c", down, key=("other",))
         # breaker open; the cached query is served stale instead of shed
-        assert guard.call("S", "c", down, cache_key=key) == ["fresh"]
-        assert guard.outcomes[-1].status == STATUS_STALE
+        outcomes = []
+        assert guard.call("S", "c", down, key=key, record=outcomes.append) == [
+            "fresh"
+        ]
+        assert outcomes[-1].status == STATUS_STALE
 
     def test_no_caching_without_serve_stale(self):
         guard, _clock = make_guard(max_retries=0, serve_stale=False)
-        guard.call("S", "c", lambda: ["fresh"], cache_key=("q",))
+        guard.call("S", "c", lambda: ["fresh"], key=("q",))
 
         def down():
             raise SourceError("gone")
 
         with pytest.raises(SourceError):
-            guard.call("S", "c", down, cache_key=("q",))
+            guard.call("S", "c", down, key=("q",))
 
 
 class TestTimeouts:
@@ -191,9 +225,10 @@ class TestTimeouts:
             clock.advance(5.0)
             return "rows"
 
+        outcomes = []
         with pytest.raises(SourceTimeoutError):
-            guard.call("S", "c", slow)
-        assert "timeout" in guard.outcomes[-1].error.lower()
+            guard.call("S", "c", slow, record=outcomes.append)
+        assert "timeout" in outcomes[-1].error.lower()
 
     def test_timeout_then_retry_succeeds(self):
         guard, clock = make_guard(max_retries=1, call_timeout=1.0)
@@ -204,8 +239,10 @@ class TestTimeouts:
                 clock.advance(5.0)
             return "rows"
 
-        assert guard.call("S", "c", sometimes_slow) == "rows"
-        assert guard.outcomes[-1].status == STATUS_RETRIED
+        outcomes = []
+        rows = guard.call("S", "c", sometimes_slow, record=outcomes.append)
+        assert rows == "rows"
+        assert outcomes[-1].status == STATUS_RETRIED
 
 
 class TestPlanDeadline:
@@ -214,44 +251,49 @@ class TestPlanDeadline:
             max_retries=10, backoff_base=1.0, plan_deadline=2.5
         )
         flaky = Flaky(failures=99)
-        with guard.plan_scope():
-            with pytest.raises(SourceError):
-                guard.call("S", "c", flaky)
+        with pytest.raises(SourceError):
+            guard.call("S", "c", flaky, deadline=clock.now() + 2.5)
         # backoff sleeps burn the budget; retries stop once exhausted
         assert flaky.calls < 11
         assert clock.slept <= 2.5 + 1e-9
 
-    def test_scope_is_reentrant(self):
-        guard, _clock = make_guard(plan_deadline=10.0)
-        with guard.plan_scope():
-            outer = guard.deadline_remaining()
-            with guard.plan_scope():
-                # nested scope shares the outer budget
-                assert guard.deadline_remaining() == outer
-            assert guard.deadline_remaining() is not None
-        assert guard.deadline_remaining() is None
+    def test_probe_and_run_share_the_plan_deadline(self):
+        mediator, query, clock = deadline_deployment(plan_deadline=10.0)
+        clock.advance(3.0)
+        mediator.correlate(query)
+        # armed once, when the plan starts: the planning probe and
+        # every retrieval call run against the same budget
+        assert len(mediator.resilience.deadlines) > 1
+        assert set(mediator.resilience.deadlines) == {13.0}
 
     def test_no_deadline_means_unbounded(self):
-        guard, _clock = make_guard()
-        with guard.plan_scope():
-            assert guard.deadline_remaining() is None
+        mediator, query, _clock = deadline_deployment(plan_deadline=None)
+        mediator.correlate(query)
+        assert set(mediator.resilience.deadlines) == {None}
 
 
 class TestOutcomeLog:
-    def test_mark_and_slice(self):
+    def test_each_call_records_only_its_own_outcome(self):
         guard, _clock = make_guard()
-        guard.call("A", "c", lambda: 1)
-        mark = guard.mark()
-        guard.call("B", "c", lambda: 2)
-        sliced = guard.outcomes_since(mark)
-        assert [o.source for o in sliced] == ["B"]
+        guard.call("A", "c", lambda: 1, record=lambda outcome: None)
+        outcomes = []
+        guard.call("B", "c", lambda: 2, record=outcomes.append)
+        assert [o.source for o in outcomes] == ["B"]
 
     def test_outcome_as_dict_is_json_ready(self):
         import json
 
         guard, _clock = make_guard()
-        guard.call("A", "c", lambda: 1)
-        json.dumps(guard.outcomes[0].as_dict())
+        outcomes = []
+        guard.call("A", "c", lambda: 1, record=outcomes.append)
+        json.dumps(outcomes[0].as_dict())
+
+    def test_failed_attempts_are_counted(self):
+        guard, _clock = make_guard(max_retries=2)
+        guard.call("S", "c", Flaky(failures=2))
+        with pytest.raises(SourceError):
+            guard.call("S", "c", Flaky(failures=99))
+        assert guard.failed_attempts == 2 + 3
 
 
 class TestObservability:
