@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
+from ..digraph import reachable
 from ..errors import MediatorError
 from ..datalog.terms import Const
 from ..domainmap.graphops import part_tree
@@ -179,19 +178,18 @@ def aggregate_over_dm(
     if func not in AGG_FUNCS:
         raise MediatorError("unknown aggregate function %r" % func)
     tree = part_tree(dm, root, role, include_isa=include_isa)
-    depths = {root: 0}
-    for node in nx.bfs_tree(tree, root).nodes:
-        if node != root:
-            depths[node] = min(
-                depths.get(parent, 0) + 1 for parent in tree.predecessors(node)
-                if parent in depths
-            )
+    # breadth-first: a region's depth is its shortest distance from root
+    depths, frontier, depth = {}, {root}, 0
+    while frontier:
+        depths.update(dict.fromkeys(frontier, depth))
+        frontier = {c for node in frontier for c in tree[node]} - depths.keys()
+        depth += 1
 
     combined_filters = dict(filters or {})
     if group_attr is not None:
         combined_filters[group_attr] = group_value
     direct: Dict[str, List] = {}
-    for concept in tree.nodes:
+    for concept in tree:
         direct[concept] = direct_values_at(
             store, concept, value_attr, combined_filters
         )
@@ -201,20 +199,18 @@ def aggregate_over_dm(
     # than concatenating child lists) keeps diamonds in the part DAG
     # from double-counting shared sub-regions.
     rows = []
-    bfs_nodes = sorted(
-        tree.nodes, key=lambda n: (depths.get(n, 10**6), n)
-    )
+    bfs_nodes = sorted(tree, key=lambda n: (depths[n], n))
     for concept in bfs_nodes:
-        direct_vals = direct.get(concept, [])
-        region = {concept} | nx.descendants(tree, concept)
+        direct_vals = direct[concept]
+        region = {concept} | reachable(tree, concept)
         all_vals = [
-            value for member in sorted(region) for value in direct.get(member, [])
+            value for member in sorted(region) for value in direct[member]
         ]
         agg = AGG_FUNCS[func]
         rows.append(
             DistributionRow(
                 concept,
-                depths.get(concept, 0),
+                depths[concept],
                 direct_vals,
                 agg(direct_vals) if direct_vals else None,
                 agg(all_vals) if all_vals else None,

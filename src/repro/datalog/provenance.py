@@ -10,8 +10,12 @@ a ground atom from the evaluated model:
   atoms are recursively explained, whose negative subgoals are justified
   by absence from the model (closed world), and whose builtins are
   checked directly,
-* cyclic justifications are rejected (an atom may not support itself),
-  so the returned tree is always well-founded.
+* the proof is canonical: of minimal height (a fact has height 1, a
+  rule instance one more than its tallest positive subgoal), then the
+  first rule in program order, then the first instance in term order
+  of its positive subgoals — so it never depends on the store's set
+  iteration order, and every subgoal is strictly shallower than its
+  parent, which makes the tree well-founded.
 
 Reconstruction is top-down over the *already computed* model, so it
 never derives anything new; it only arranges existing facts into a
@@ -25,7 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import EvaluationError
 from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Program, Rule
 from .engine import _Evaluator, _order_body_items, evaluate
-from .terms import substitute
+from .terms import term_sort_key, unify
 
 
 class Derivation:
@@ -98,82 +102,95 @@ class Derivation:
         return "Derivation(%s, children=%d)" % (self.atom, len(self.children))
 
 
+#: how a proof shows the body items it checks directly
+_LEAF_NOTES = {
+    Comparison: "builtin",
+    Assignment: "arithmetic",
+    AggregateLiteral: "aggregate",
+}
+
+
+def _term_order(instance):
+    return [(g.pred, [term_sort_key(t) for t in g.args]) for g in instance[2]]
+
+
 class _Explainer:
     def __init__(self, program, store):
-        self.program = program
         self.store = store
         self.rules_by_sig: Dict[Tuple[str, int], List[Rule]] = {}
         for rule in program:
             self.rules_by_sig.setdefault(rule.head.signature, []).append(rule)
-        self.memo: Dict[Atom, Derivation] = {}
         self.solver = _Evaluator(store)
+        #: atom -> its (rule, solution, positive subgoals) instances
+        self.instances: Dict[Atom, List[tuple]] = {}
+        #: (atom, height) -> its first instance with a proof that high
+        self.within: Dict[Tuple[Atom, int], Optional[tuple]] = {}
+        self.memo: Dict[Atom, Optional[Derivation]] = {}
 
-    def explain(self, atom, path):
-        if atom in self.memo:
-            return self.memo[atom]
-        if atom in path:
-            return None  # no self-supporting proofs
-        if not self.store.contains(atom):
+    def explain(self, atom):
+        if atom not in self.memo:
+            self.memo[atom] = None
+            # a shallowest proof repeats no atom along a branch
+            for height in range(1, len(self.store) + 1):
+                instance = self._within(atom, height)
+                if instance is not None:
+                    rule, solution, _subgoals = instance
+                    children = self._explain_body(rule.body, solution)
+                    self.memo[atom] = Derivation(atom, rule, children)
+                    break
+        return self.memo[atom]
+
+    def _within(self, atom, height):
+        if height < 1:
             return None
-        path = path | {atom}
+        key = (atom, height)
+        if key not in self.within:
+            self.within[key] = next(
+                (
+                    instance
+                    for instance in self._instances(atom)
+                    if all(self._within(goal, height - 1) for goal in instance[2])
+                ),
+                None,
+            )
+        return self.within[key]
 
-        candidates = self.rules_by_sig.get(atom.signature, ())
-        # facts first: the shortest possible proof
-        for rule in candidates:
-            if rule.is_fact and rule.head == atom:
-                derivation = Derivation(atom, rule)
-                self.memo[atom] = derivation
-                return derivation
-        for rule in candidates:
-            if rule.is_fact:
-                continue
-            derivation = self._try_rule(atom, rule, path)
-            if derivation is not None:
-                self.memo[atom] = derivation
-                return derivation
-        return None
+    def _instances(self, atom):
+        """Facts first, then rule instances in program order, each
+        rule's in term order of its positive subgoals."""
+        if atom not in self.instances:
+            found = []
+            rules = self.rules_by_sig.get(atom.signature, ())
+            if not self.store.contains(atom):
+                rules = ()
+            for rule in sorted(rules, key=lambda rule: not rule.is_fact):
+                subst = {}
+                for pattern, ground in zip(rule.head.args, atom.args):
+                    if subst is not None:
+                        subst = unify(pattern, ground, subst)
+                if subst is None:
+                    continue
+                body = _order_body_items(list(rule.body))
+                goals = list(rule.positive_body_atoms())
+                instances = [
+                    (rule, solution, tuple(g.substitute(solution) for g in goals))
+                    for solution in self.solver._solve(body, 0, subst, None, None)
+                ]
+                found += sorted(instances, key=_term_order)
+            self.instances[atom] = found
+        return self.instances[atom]
 
-    def _try_rule(self, atom, rule, path):
-        from .terms import unify
-
-        subst = {}
-        for pattern, ground in zip(rule.head.args, atom.args):
-            subst = unify(pattern, ground, subst)
-            if subst is None:
-                return None
-        body = _order_body_items(list(rule.body))
-        for solution in self.solver._solve(body, 0, subst, None, None):
-            children = self._explain_body(rule.body, solution, path)
-            if children is not None:
-                return Derivation(atom, rule, children)
-        return None
-
-    def _explain_body(self, body, solution, path):
+    def _explain_body(self, body, solution):
         children: List[Derivation] = []
         for item in body:
-            if isinstance(item, Literal):
+            if isinstance(item, Literal) and item.positive:
+                children.append(self.explain(item.atom.substitute(solution)))
+            elif isinstance(item, Literal):
                 ground = item.atom.substitute(solution)
-                if item.positive:
-                    child = self.explain(ground, path)
-                    if child is None:
-                        return None
-                    children.append(child)
-                else:
-                    children.append(
-                        Derivation(ground, note="absent (closed world)")
-                    )
-            elif isinstance(item, Comparison):
-                children.append(
-                    Derivation(item.substitute(solution), note="builtin")
-                )
-            elif isinstance(item, Assignment):
-                children.append(
-                    Derivation(item.substitute(solution), note="arithmetic")
-                )
-            elif isinstance(item, AggregateLiteral):
-                children.append(
-                    Derivation(item.substitute(solution), note="aggregate")
-                )
+                children.append(Derivation(ground, note="absent (closed world)"))
+            else:
+                note = _LEAF_NOTES[type(item)]
+                children.append(Derivation(item.substitute(solution), note=note))
         return children
 
 
@@ -197,7 +214,7 @@ def explain(program, atom, result=None, metrics=None):
     if metrics is None:
         metrics = getattr(result, "metrics", None)
     explainer = _Explainer(program, result.store)
-    derivation = explainer.explain(atom, frozenset())
+    derivation = explainer.explain(atom)
     if derivation is not None:
         derivation.annotate(metrics)
     return derivation

@@ -15,10 +15,10 @@ evaluation, and aggregation through recursion is rejected outright.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from collections import namedtuple
+from typing import Dict, List, Set, Tuple
 
-import networkx as nx
-
+from ..digraph import components, reachable
 from ..errors import StratificationError
 from .ast import AggregateLiteral, Literal, Program
 
@@ -29,40 +29,36 @@ CODE_NEGATION_RECURSION = "MBM005"
 CODE_AGGREGATE_RECURSION = "MBM006"
 
 
-class DependencyInfo:
-    """Result of dependency analysis over a program."""
-
-    def __init__(self, graph, negative_edges, aggregate_edges):
-        self.graph = graph
-        self.negative_edges = negative_edges
-        self.aggregate_edges = aggregate_edges
-
-    def condensation(self):
-        return nx.condensation(self.graph)
+#: result of dependency analysis over a program: `graph` maps every
+#: signature to the frozenset of signatures its rules' bodies use
+DependencyInfo = namedtuple(
+    "DependencyInfo", "graph negative_edges aggregate_edges"
+)
 
 
 def build_dependency_graph(program):
     """Construct the signature-level dependency graph of `program`."""
-    graph = nx.DiGraph()
+    graph: Dict[Signature, Set[Signature]] = {}
     negative_edges: Set[Tuple[Signature, Signature]] = set()
     aggregate_edges: Set[Tuple[Signature, Signature]] = set()
 
     for rule in program:
         head_sig = rule.head.signature
-        graph.add_node(head_sig)
+        graph.setdefault(head_sig, set())
         for item in rule.body:
-            if isinstance(item, Literal):
-                dep = item.atom.signature
-                graph.add_edge(head_sig, dep)
-                if not item.positive:
+            aggregated = isinstance(item, AggregateLiteral)
+            for literal in item.body if aggregated else (item,):
+                if not isinstance(literal, Literal):
+                    continue
+                dep = literal.atom.signature
+                graph[head_sig].add(dep)
+                graph.setdefault(dep, set())
+                if aggregated:
+                    aggregate_edges.add((head_sig, dep))
+                elif not literal.positive:
                     negative_edges.add((head_sig, dep))
-            elif isinstance(item, AggregateLiteral):
-                for inner in item.body:
-                    if isinstance(inner, Literal):
-                        dep = inner.atom.signature
-                        graph.add_edge(head_sig, dep)
-                        aggregate_edges.add((head_sig, dep))
-    return DependencyInfo(graph, negative_edges, aggregate_edges)
+    frozen = {sig: frozenset(deps) for sig, deps in graph.items()}
+    return DependencyInfo(frozen, negative_edges, aggregate_edges)
 
 
 class StratificationReport:
@@ -96,11 +92,9 @@ def analyze_stratification(program):
     the raised error and the lint diagnostic are guaranteed to agree.
     """
     info = build_dependency_graph(program)
-    scc_of: Dict[Signature, int] = {}
-    condensed = info.condensation()
-    for scc_id, data in condensed.nodes(data=True):
-        for sig in data["members"]:
-            scc_of[sig] = scc_id
+    # the components come dependencies first: bottom-up evaluation order
+    sccs = components(info.graph)
+    scc_of = {sig: scc_id for scc_id, scc in enumerate(sccs) for sig in scc}
 
     negative_recursive = sorted(
         edge for edge in info.negative_edges if scc_of[edge[0]] == scc_of[edge[1]]
@@ -110,13 +104,7 @@ def analyze_stratification(program):
     )
     strata = None
     if not negative_recursive and not aggregate_recursive:
-        # Topological order of the condensation gives evaluation order
-        # from the leaves up: dependencies come last in nx.condensation's
-        # edge direction (head -> body), so reverse the topological sort.
-        order = list(reversed(list(nx.topological_sort(condensed))))
-        strata = _merge_independent_strata(
-            [set(condensed.nodes[scc_id]["members"]) for scc_id in order], info
-        )
+        strata = _merge_independent_strata([set(scc) for scc in sccs], info)
     return StratificationReport(
         info, negative_recursive, aggregate_recursive, strata
     )
@@ -198,7 +186,7 @@ def nonmonotone_dependencies(program):
     for _head, dep in sorted(info.negative_edges | info.aggregate_edges):
         if dep not in guarded:
             guarded.add(dep)
-            guarded.update(nx.descendants(info.graph, dep))
+            guarded.update(reachable(info.graph, dep))
     return frozenset(guarded)
 
 

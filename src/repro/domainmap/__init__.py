@@ -58,14 +58,11 @@ from .graphops import (
     downward_closure,
     has_a_star,
     isa_closure,
-    isa_graph,
     least_upper_bounds,
     lub,
-    part_graph,
     part_tree,
     region_of_correspondence,
     role_containers,
-    role_graph,
     transitive_closure,
     upper_bounds,
 )
@@ -117,19 +114,16 @@ __all__ = [
     "edge_constraint_rules",
     "has_a_star",
     "isa_closure",
-    "isa_graph",
     "least_upper_bounds",
     "lub",
     "navigation_graph",
     "parse_axiom",
     "parse_axioms",
     "parse_concept",
-    "part_graph",
     "part_tree",
     "region_of_correspondence",
     "register_concepts",
     "role_containers",
-    "role_graph",
     "subsumes",
     "to_dot",
     "to_text",

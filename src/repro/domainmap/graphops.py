@@ -18,9 +18,10 @@ processing:
   a set of anchor concepts (the "region of correspondence" between
   sources).
 
-Two backends are provided: the default in-memory graph algorithms, and
-:func:`closure_rules`, the paper's own Datalog program for ``tc``/``dc``
-— the test-suite proves them equivalent.
+Two backends are provided: the default in-memory closure index — built
+once per :attr:`DomainMap.revision` and read by every operation above —
+and :func:`closure_rules`, the paper's own Datalog program for
+``tc``/``dc`` — the test-suite proves them equivalent.
 
 Fidelity notes: the paper's ``dc`` rules are written with ``tc(isa)``;
 read literally (irreflexive tc) they would exclude every base ``R``
@@ -33,14 +34,15 @@ contains exactly the links justified by the DL semantics.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from collections import namedtuple
+from typing import Dict, Set, Tuple
 
 from .. import obs
+from ..digraph import reachable
 from ..errors import NoUpperBoundError
-from ..datalog.ast import Program, Rule
+from ..datalog.ast import Program
 from ..datalog.parser import parse_program
+from .model import EQV, EX, ISA, _is_synthetic
 
 
 def transitive_closure(pairs):
@@ -49,33 +51,140 @@ def transitive_closure(pairs):
     A node on a cycle reaches itself, so (n, n) pairs appear for cyclic
     inputs even though the closure is not reflexive in general.
     """
-    graph = nx.DiGraph()
-    graph.add_edges_from(pairs)
-    closure: Set[Tuple[str, str]] = set()
-    for node in graph.nodes:
-        reachable = nx.descendants(graph, node)
-        for descendant in reachable:
-            closure.add((node, descendant))
-        # nx.descendants never includes the start node; restore n -> n
-        # when a successor leads back around a cycle.
-        if any(
-            successor == node or node in nx.descendants(graph, successor)
-            for successor in graph.successors(node)
-        ):
-            closure.add((node, node))
-    return closure
+    reach = _closure(_adjacency(pairs))
+    return {(a, b) for a, below in reach.items() for b in below}
 
 
-def isa_graph(dm, include_eqv=True):
-    """The direct isa digraph over concepts (eqv as mutual isa)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dm.concepts)
-    graph.add_edges_from(dm.isa_pairs())
-    if include_eqv:
-        for a, b in dm.eqv_pairs():
-            graph.add_edge(a, b)
-            graph.add_edge(b, a)
-    return graph
+def _adjacency(pairs, nodes=()):
+    adj: Dict[str, Set[str]] = {node: set() for node in nodes}
+    for a, b in pairs:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set())
+    return adj
+
+
+def _closure(adj):
+    """Strict reachability of every node, ``{node: frozenset}``."""
+    return {node: frozenset(reachable(adj, node)) for node in adj}
+
+
+def _frozen(mapping):
+    return {key: frozenset(value) for key, value in mapping.items()}
+
+
+# ---------------------------------------------------------------------------
+# The per-revision closure index
+# ---------------------------------------------------------------------------
+
+#: one order's navigation adjacency (see :func:`navigation_graph`) and
+#: its strict descendant / ancestor and reflexive container maps
+_Order = namedtuple("_Order", "adjacency descendants ancestors containers")
+
+
+class _ClosureIndex:
+    """What the graph operations read from one DM revision.
+
+    Draws ``dm.edges()`` once and closes isa (eqv as mutual isa) at
+    once; each role's ``dc`` and each order's maps are computed on first
+    use.  Nothing changes once computed, so publishing the index with
+    one attribute assignment makes it safe to read from any thread.
+    """
+
+    def __init__(self, dm):
+        self.revision = dm.revision
+        self.concepts = frozenset(dm.concepts)
+        self.isa_pairs: Set[Tuple[str, str]] = set()
+        self.role_links: Dict[str, Set[Tuple[str, str]]] = {}
+        for e in dm.edges():
+            if _is_synthetic(e.src) or _is_synthetic(e.dst):
+                continue
+            if e.kind in (ISA, EQV):
+                self.isa_pairs.add((e.src, e.dst))
+            if e.kind == EQV:
+                self.isa_pairs.add((e.dst, e.src))
+            elif e.kind == EX:
+                self.role_links.setdefault(e.role, set()).add((e.src, e.dst))
+        self._memo: Dict[tuple, object] = {}
+        #: strict isa-ancestors / -descendants of every concept
+        self.up = self.order("isa").ancestors
+        self.down = self.order("isa").descendants
+        self.tc = frozenset((a, b) for a, ups in self.up.items() for b in ups)
+        self.rtc = self.tc | {(c, c) for c in self.concepts}
+
+    def _memoized(self, key, compute):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+        return value
+
+    def dc(self, role, mode):
+        return self._memoized(("dc", role, mode), lambda: self._dc(role, mode))
+
+    def order(self, order, include_isa=True):
+        include_isa = include_isa or order == "isa"
+        key = ("order", order, include_isa)
+        return self._memoized(key, lambda: self._order(order, include_isa))
+
+    def _dc(self, role, mode):
+        links: Set[Tuple[str, str]] = set()
+        for src, dst in self.role_links.get(role, ()):
+            below = self.down.get(src, frozenset()) | {src}
+            above = self.up.get(dst, frozenset()) | {dst}
+            if mode == "full":
+                links.update((x, y) for x in below for y in above)
+            elif mode == "paper":
+                links.update((x, dst) for x in below)
+                links.update((src, y) for y in above)
+            elif mode == "down":
+                links.update((x, dst) for x in below)
+            else:
+                raise ValueError("unknown dc mode %r" % mode)
+        return frozenset(links)
+
+    def _order(self, order, include_isa):
+        role_edges = set()
+        if order != "isa":
+            targets_of = _adjacency(self.dc(order, "down"))
+            # Redundant-edge elimination: an inherited generic link (X
+            # has Compartment) is dropped when a strictly more specific
+            # link (X has Parallel_Fiber, Parallel_Fiber v Compartment)
+            # exists — the generic one is implied and descending isa
+            # from it would wander into sibling regions.
+            role_edges = {
+                (x, d)
+                for x, targets in targets_of.items()
+                for d in targets
+                if not any(d in self.up.get(o, ()) for o in targets if o != d)
+            }
+        edges = set(role_edges)
+        if include_isa:
+            edges |= {(sup, sub) for sub, sup in self.isa_pairs}
+        adjacency = _frozen(_adjacency(edges, self.concepts))
+        descendants = _closure(adjacency)
+        ancestors = _closure(_adjacency({(v, u) for u, v in edges}, adjacency))
+        # W contains X when a path W -> ... -> X crosses a role edge
+        containers = {node: {node} for node in adjacency}
+        for u, v in role_edges:
+            for node in descendants[v] | {v}:
+                containers[node] |= ancestors[u] | {u}
+        return _Order(adjacency, descendants, ancestors, _frozen(containers))
+
+
+def _index(dm):
+    """The closure index of `dm`'s current revision, built on first use."""
+    index = dm._closure_index
+    if index is None or index.revision != dm.revision:
+        with obs.span("dm.index", concepts=len(dm.concepts)) as span:
+            index = _ClosureIndex(dm)
+            if span.enabled:
+                obs.count("dm.graphops", op="index")
+        dm._closure_index = index
+    return index
+
+
+# ---------------------------------------------------------------------------
+# Graph operations (reads of the index)
+# ---------------------------------------------------------------------------
 
 
 def isa_closure(dm, reflexive=True):
@@ -83,24 +192,12 @@ def isa_closure(dm, reflexive=True):
     with obs.span(
         "dm.tc", concepts=len(dm.concepts), reflexive=reflexive
     ) as span:
-        graph = isa_graph(dm)
-        closure = transitive_closure(graph.edges)
-        if reflexive:
-            closure |= {(c, c) for c in dm.concepts}
+        index = _index(dm)
+        pairs = index.rtc if reflexive else index.tc
         if span.enabled:
-            span.set(pairs=len(closure))
+            span.set(pairs=len(pairs))
             obs.count("dm.graphops", op="tc")
-        return closure
-
-
-def role_graph(dm, role):
-    """Direct (ex) edges of one role as a digraph over concepts."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dm.concepts)
-    for src, edge_role, dst in dm.role_triples():
-        if edge_role == role:
-            graph.add_edge(src, dst)
-    return graph
+        return pairs
 
 
 def deductive_closure(dm, role, mode="full"):
@@ -120,39 +217,11 @@ def deductive_closure(dm, role, mode="full"):
       regions of the map.
     """
     with obs.span("dm.dc", role=role, mode=mode) as span:
-        links = _deductive_closure(dm, role, mode)
+        links = _index(dm).dc(role, mode)
         if span.enabled:
             span.set(links=len(links))
             obs.count("dm.graphops", op="dc")
         return links
-
-
-def _deductive_closure(dm, role, mode):
-    rtc = isa_closure(dm, reflexive=True)
-    below: Dict[str, Set[str]] = {}
-    above: Dict[str, Set[str]] = {}
-    for sub, sup in rtc:
-        below.setdefault(sup, set()).add(sub)
-        above.setdefault(sub, set()).add(sup)
-    links: Set[Tuple[str, str]] = set()
-    for src, edge_role, dst in dm.role_triples():
-        if edge_role != role:
-            continue
-        if mode == "full":
-            for x in below.get(src, {src}):
-                for y in above.get(dst, {dst}):
-                    links.add((x, y))
-        elif mode == "paper":
-            for x in below.get(src, {src}):
-                links.add((x, dst))
-            for y in above.get(dst, {dst}):
-                links.add((src, y))
-        elif mode == "down":
-            for x in below.get(src, {src}):
-                links.add((x, dst))
-        else:
-            raise ValueError("unknown dc mode %r" % mode)
-    return links
 
 
 def has_a_star(dm, role="has"):
@@ -166,7 +235,8 @@ def has_a_star(dm, role="has"):
 
 
 def navigation_graph(dm, order="isa", include_isa=True):
-    """The downward-navigation digraph for an ordering of the DM.
+    """The downward-navigation digraph for an ordering of the DM, as
+    ``{node: frozenset(successors)}`` with every concept a key.
 
     With ``order="isa"`` the edges run general -> specific (``sup ->
     sub``).  With a role name (e.g. ``"has"``) the edges are the
@@ -179,42 +249,7 @@ def navigation_graph(dm, order="isa", include_isa=True):
     is deliberately excluded from navigation: it would climb to generic
     concepts (`Neuron`) and descend into sibling regions.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dm.concepts)
-    if order == "isa":
-        for sub, sup in dm.isa_pairs():
-            graph.add_edge(sup, sub, kind="isa")
-        for a, b in dm.eqv_pairs():
-            graph.add_edge(a, b, kind="isa")
-            graph.add_edge(b, a, kind="isa")
-        return graph
-    # Redundant-edge elimination: an inherited generic link (X has
-    # Compartment) is dropped when a strictly more specific link (X has
-    # Parallel_Fiber, Parallel_Fiber v Compartment) exists — the
-    # generic one is implied and descending isa from it would wander
-    # into sibling regions.
-    links = deductive_closure(dm, order, mode="down")
-    strict_isa = isa_closure(dm, reflexive=False)
-    by_source: Dict[str, Set[str]] = {}
-    for x, d in links:
-        by_source.setdefault(x, set()).add(d)
-    for x, targets in by_source.items():
-        for d in targets:
-            if any(
-                other != d and (other, d) in strict_isa for other in targets
-            ):
-                continue
-            graph.add_edge(x, d, kind="role")
-    if include_isa:
-        for sub, sup in dm.isa_pairs():
-            if not graph.has_edge(sup, sub):
-                graph.add_edge(sup, sub, kind="isa")
-        for a, b in dm.eqv_pairs():
-            if not graph.has_edge(a, b):
-                graph.add_edge(a, b, kind="isa")
-            if not graph.has_edge(b, a):
-                graph.add_edge(b, a, kind="isa")
-    return graph
+    return dict(_index(dm).order(order, include_isa).adjacency)
 
 
 def role_containers(dm, concept, role, include_isa=True):
@@ -225,33 +260,19 @@ def role_containers(dm, concept, role, include_isa=True):
     "reaching" Purkinje_Dendrite) do not make a container.  Reflexive:
     every concept contains itself.
     """
-    nav = navigation_graph(dm, role, include_isa)
-    if concept not in nav:
-        return {concept}
-    reach = nx.ancestors(nav, concept) | {concept}
-    containers: Set[str] = {concept}
-    for u, v, data in nav.edges(data=True):
-        if data.get("kind") == "role" and v in reach:
-            containers.add(u)
-            containers |= nx.ancestors(nav, u)
-    return containers
+    containers = _index(dm).order(role, include_isa).containers
+    return containers.get(concept, frozenset((concept,)))
 
 
 def ancestors(dm, concept, order="isa"):
     """All strict ancestors of a concept in the given order
     (isa-ancestors by default; containers for a role order)."""
-    graph = navigation_graph(dm, order)
-    if concept not in graph:
-        return set()
-    return nx.ancestors(graph, concept)
+    return _index(dm).order(order).ancestors.get(concept, frozenset())
 
 
 def descendants(dm, concept, order="isa"):
     """All strict descendants of a concept in the given order."""
-    graph = navigation_graph(dm, order)
-    if concept not in graph:
-        return set()
-    return nx.descendants(graph, concept)
+    return _index(dm).order(order).descendants.get(concept, frozenset())
 
 
 def upper_bounds(dm, concepts, order="isa"):
@@ -265,15 +286,12 @@ def upper_bounds(dm, concepts, order="isa"):
         raise NoUpperBoundError("lub of an empty concept set is undefined")
     for concept in concepts:
         dm.require_concept(concept)
-    graph = navigation_graph(dm, order)
-    common: Optional[Set[str]] = None
-    for concept in concepts:
-        if order == "isa":
-            ups = nx.ancestors(graph, concept) | {concept}
-        else:
-            ups = role_containers(dm, concept, order)
-        common = ups if common is None else (common & ups)
-    return common or set()
+    nav = _index(dm).order(order)
+    if order == "isa":
+        bounds = [nav.ancestors[concept] | {concept} for concept in concepts]
+    else:
+        bounds = [nav.containers[concept] for concept in concepts]
+    return frozenset.intersection(*bounds)
 
 
 def least_upper_bounds(dm, concepts, order="isa"):
@@ -290,13 +308,12 @@ def least_upper_bounds(dm, concepts, order="isa"):
                 "concepts %s have no common %s-ancestor"
                 % (sorted(concepts), order)
             )
-        graph = navigation_graph(dm, order)
-        minimal = {
+        ancestors_of = _index(dm).order(order).ancestors
+        result = sorted(
             b
             for b in bounds
-            if not any(o != b and b in nx.ancestors(graph, o) for o in bounds)
-        }
-        result = sorted(minimal)
+            if not any(o != b and b in ancestors_of[o] for o in bounds)
+        )
         if span.enabled:
             span.set(bounds=len(result))
             obs.count("dm.graphops", op="lub")
@@ -311,29 +328,24 @@ def lub(dm, concepts, order="isa"):
     return least_upper_bounds(dm, concepts, order)[0]
 
 
-def part_graph(dm, role="has", include_isa=True):
-    """Digraph of the direct inferable `role` links (has_a_star), plus
-    isa specializations for navigation (see :func:`navigation_graph`)."""
-    return navigation_graph(dm, role, include_isa=include_isa)
-
-
 def part_tree(dm, root, role="has", include_isa=True):
-    """The subgraph of direct `role` links reachable from `root` —
-    what the mediator's recursive `aggregate` traverses (Example 4)."""
+    """The direct `role` links reachable from `root` — what the
+    mediator's recursive `aggregate` traverses (Example 4) — as
+    ``{node: frozenset(successors)}`` over the reachable nodes."""
     dm.require_concept(root)
     with obs.span("dm.part_tree", root=root, role=role) as span:
-        graph = part_graph(dm, role, include_isa)
-        reachable = {root} | nx.descendants(graph, root)
-        tree = graph.subgraph(reachable).copy()
+        nav = _index(dm).order(role, include_isa)
+        reachable = nav.descendants[root] | {root}
+        tree = {node: nav.adjacency[node] for node in sorted(reachable)}
         if span.enabled:
-            span.set(nodes=tree.number_of_nodes())
+            span.set(nodes=len(tree))
             obs.count("dm.graphops", op="part_tree")
         return tree
 
 
 def downward_closure(dm, root, role="has", include_isa=True):
     """All concepts reachable from `root` along direct `role` links."""
-    return set(part_tree(dm, root, role, include_isa).nodes)
+    return set(part_tree(dm, root, role, include_isa))
 
 
 def region_of_correspondence(dm, anchors, role="has"):
@@ -342,19 +354,17 @@ def region_of_correspondence(dm, anchors, role="has"):
     Computes the lub of the anchors and returns the sub-DAG of direct
     `role`/isa links lying on paths from the lub down to each anchor —
     "a segment in the domain map as the region of correspondence
-    between the two information sources".
+    between the two information sources" — as ``{node:
+    frozenset(successors)}``.
     """
     anchors = list(anchors)
     root = lub(dm, anchors, order=role)
-    nav = navigation_graph(dm, role)
-    region: Set[str] = {root}
-    reachable_from_root = {root} | nx.descendants(nav, root)
+    nav = _index(dm).order(role)
+    below_root = nav.descendants[root] | {root}
+    region = {root}
     for anchor in anchors:
-        if anchor not in nav:
-            continue
-        can_reach_anchor = {anchor} | nx.ancestors(nav, anchor)
-        region |= reachable_from_root & can_reach_anchor
-    return nav.subgraph(region).copy()
+        region |= below_root & (nav.ancestors[anchor] | {anchor})
+    return {node: nav.adjacency[node] & region for node in sorted(region)}
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +397,8 @@ def closure_program(dm):
     program = Program()
     for concept in sorted(dm.concepts):
         program.add_fact("concept", concept)
-    for sub, sup in sorted(dm.isa_pairs()):
+    for sub, sup in sorted(dm.isa_pairs()):  # eqv pairs included both ways
         program.add_fact("isa", sub, sup)
-    for a, b in sorted(dm.eqv_pairs()):
-        program.add_fact("isa", a, b)
-        program.add_fact("isa", b, a)
     for src, role, dst in sorted(dm.role_triples()):
         program.add_fact("role_edge", role, src, dst)
     program.extend(parse_program(CLOSURE_RULES))

@@ -1,5 +1,10 @@
 """Tests for derivation trees (provenance)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.datalog import evaluate, explain, parse_atom, parse_program
@@ -210,3 +215,56 @@ class TestFLogicExplanations:
         # bottoms out in the anchor fact and DM subclass facts
         assert any("subclass" in atom for atom in leaf_atoms)
         assert any(obj in atom for atom in leaf_atoms)
+
+
+class TestCanonicalProof:
+    """The chosen proof is the shallowest, then the first by rule order
+    and term order, whatever the store's set iteration order."""
+
+    def test_shallowest_proof_wins(self):
+        program = parse_program(
+            """
+            edge(a, b). edge(b, c). edge(a, c).
+            tc(X, Y) :- edge(X, Z), tc(Z, Y).
+            tc(X, Y) :- edge(X, Y).
+            """
+        )
+        derivation = explain(program, parse_atom("tc(a, c)"))
+        assert derivation.depth() == 2
+        assert [str(c.atom) for c in derivation.children] == ["edge(a, c)"]
+
+    def test_ties_break_by_rule_then_term_order(self):
+        program = parse_program(
+            """
+            q(c). q(b). r(a).
+            p :- q(X).
+            p :- r(X).
+            """
+        )
+        derivation = explain(program, parse_atom("p"))
+        assert [str(c.atom) for c in derivation.children] == ["q(b)"]
+
+    def test_why_tree_is_independent_of_the_hash_seed(self):
+        script = (
+            "from repro.neuro import build_scenario\n"
+            "mediator = build_scenario().mediator\n"
+            "print(mediator.explain(%r))\n"
+            % "'NCMIR.protein_amount.10' : 'Compartment'"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        outputs = []
+        for seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join([src] + paths)
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert "[rule:" in outputs[0]
+        assert outputs[0] == outputs[1]

@@ -12,8 +12,9 @@ import sys
 import threading
 
 from repro.cache.answers import AnswerCache, CacheEntry
+from repro.domainmap import lub, part_tree, role_containers
 from repro.flogic.engine import FLogicEngine
-from repro.neuro import build_scenario, section5_query
+from repro.neuro import build_anatom, build_scenario, section5_query
 from repro.cache.store import DictStore, LRUStore
 from repro.obs.metrics import Metrics
 from repro.resilience import ResiliencePolicy, SourceGuard, VirtualClock
@@ -166,3 +167,35 @@ class TestSharedKnowledgeBaseHammer:
         engine = FLogicEngine()
         engine.tell_rules(mediator.assembled_rules(include_data=False))
         assert base.same_facts(engine.evaluate().store)
+
+
+class TestClosureIndexHammer:
+    """After each DM write, threads race through the first reads of the
+    new revision: the closure index is built concurrently and published
+    by one attribute assignment, so every reader must see whole maps."""
+
+    @staticmethod
+    def _reads(dm):
+        return (
+            lub(dm, ["Purkinje_Cell", "Purkinje_Dendrite"], order="has"),
+            part_tree(dm, "Cerebellum"),
+            role_containers(dm, "Spine", "has"),
+        )
+
+    def test_first_reads_after_a_write_equal_the_serial_ones(self):
+        dm = build_anatom()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for index in range(10):
+                dm.isa("Extra_Spine_%d" % index, "Spine")
+                expected = self._reads(dm.copy())
+                seen = [None] * THREADS
+
+                def read(i):
+                    seen[i] = self._reads(dm)
+
+                hammer(read)
+                assert seen == [expected] * THREADS
+        finally:
+            sys.setswitchinterval(interval)
