@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..errors import (
@@ -82,17 +82,19 @@ class _DeltaBase:
 
     `blocked` holds the relations whose new facts could retract a
     conclusion (negated or aggregated literals depend on them); extra
-    facts of those relations, and ``*->`` defaults (which switch the
-    value-inheritance axioms on), need a fresh evaluation.
+    facts of those relations, ``*->`` defaults (which switch the
+    value-inheritance axioms on) and a well-founded base need a fresh
+    evaluation.  `rules` keeps the program's proper rules only: its
+    facts are already in the base store.
     """
 
     def __init__(self, engine):
         self.result = engine.evaluate(check_safety=False)
-        self.rules = engine.program().rules
+        self.rules = tuple(rule for rule in engine.program() if not rule.is_fact)
         self.blocked = nonmonotone_dependencies(self.rules)
 
     def accepts(self, extra):
-        return all(
+        return not self.result.used_well_founded and all(
             rule.is_fact
             and rule.head.signature not in self.blocked
             and rule.head.pred != PRED_DEFAULT_VAL
@@ -101,21 +103,22 @@ class _DeltaBase:
 
 
 class _Revision:
-    """What the mediator derives from one knowledge-base revision.
+    """One ``include_data`` flavour of the knowledge base, keyed by the
+    content of its program.
 
-    ``_invalidate()`` drops the record; a direct domain-map edit
-    outdates it through :attr:`DomainMap.revision`.  ``served`` holds
-    the ``include_data`` flavours that already ran one
+    ``_invalidate()`` and :attr:`DomainMap.revision` only make `stamp`
+    outdated; the next read re-assembles the flavour's rules and keeps
+    this record — engine, `served` and `base` — while they are the same
+    set as the engine's.  `served` is set by the flavour's first
     ``evaluate_with`` (fresh, with the full safety check); the second
-    one saturates that flavour's :class:`_DeltaBase` (None when the
-    program needs the well-founded fallback).
+    one saturates `base`, a :class:`_DeltaBase`.
     """
 
-    def __init__(self, dm_revision):
-        self.dm_revision = dm_revision
-        self.engine: Optional[FLogicEngine] = None
-        self.served: Set[bool] = set()
-        self.bases: Dict[bool, Optional[_DeltaBase]] = {}
+    def __init__(self, rules, stamp):
+        self.stamp = stamp
+        self.engine = FLogicEngine().tell_rules(rules)
+        self.served = False
+        self.base: Optional[_DeltaBase] = None
 
 
 class Mediator:
@@ -227,7 +230,12 @@ class Mediator:
         self._view_rules_by_name: Dict[str, List[Rule]] = {}
         self._facts: List[Rule] = []
         self._materialized: List[Rule] = []
-        self._revision: Optional[_Revision] = None
+        #: ``include_data`` -> that flavour's :class:`_Revision`
+        self._flavours: Dict[bool, _Revision] = {}
+        #: bumped by every write; with the DM revision, it stamps records
+        self._writes = 0
+        #: (dm, dm revision, edge_assertions) and the compiled DM rules
+        self._dm_rules: Tuple[tuple, Tuple[Rule, ...]] = ((), ())
         self._revision_lock = threading.RLock()
         self._wire_log: List[Tuple[str, int]] = []
 
@@ -536,14 +544,26 @@ class Mediator:
     # -- knowledge base ----------------------------------------------------
 
     def _invalidate(self):
-        self._revision = None
-
-    def _current_revision(self):
         with self._revision_lock:
-            revision = self._revision
-            if revision is None or revision.dm_revision != self.dm.revision:
-                revision = self._revision = _Revision(self.dm.revision)
-            return revision
+            self._writes += 1
+
+    def _flavour(self, include_data):
+        """The current :class:`_Revision` of one flavour: its record
+        carries over a write that left the flavour's rules unchanged."""
+        with self._revision_lock:
+            stamp = (self._writes, self.dm.revision)
+            record = self._flavours.get(include_data)
+            if record is not None and record.stamp == stamp:
+                return record
+            rules = self.assembled_rules(include_data=include_data)
+            # the engine holds the record's only copy of its rules
+            if record is not None and frozenset(rules) == frozenset(
+                record.engine.rules
+            ):
+                record.stamp = stamp
+                return record
+            record = self._flavours[include_data] = _Revision(rules, stamp)
+            return record
 
     @property
     def _view_rules(self):
@@ -623,10 +643,14 @@ class Mediator:
         materialized_views = (
             self.cache.materializations if self.cache is not None else {}
         )
-        rules: List[Rule] = []
-        rules.extend(
-            compile_domain_map(self.dm, assertions_for=self.edge_assertions)
-        )
+        dm_key = (self.dm, self.dm.revision, self.edge_assertions)
+        key, dm_rules = self._dm_rules
+        if key != dm_key:
+            dm_rules = tuple(
+                compile_domain_map(self.dm, assertions_for=self.edge_assertions)
+            )
+            self._dm_rules = (dm_key, dm_rules)
+        rules: List[Rule] = list(dm_rules)
         for record in self._sources.values():
             rules.extend(
                 record.registration.cm.all_rules(include_constraints=False)
@@ -643,14 +667,9 @@ class Mediator:
         return rules
 
     def engine(self):
-        """The mediator's F-logic engine, cached per knowledge-base
-        revision."""
-        revision = self._current_revision()
-        if revision.engine is None:
-            engine = FLogicEngine()
-            engine.tell_rules(self.assembled_rules())
-            revision.engine = engine
-        return revision.engine
+        """The mediator's F-logic engine, cached while the knowledge
+        base's rules stay the same."""
+        return self._flavour(True).engine
 
     def evaluate(self):
         """Evaluate the knowledge base; returns an EvaluationResult."""
@@ -664,8 +683,8 @@ class Mediator:
         knowledge only (domain map + schemas + views), ignoring any
         eagerly loaded instance data.
 
-        The first call of a knowledge-base revision evaluates from
-        scratch; later ones extend a saturated base by the extra facts
+        The first call on a flavour's program evaluates from scratch;
+        later ones extend a saturated base by the extra facts
         (``path=delta`` on the span) unless a negated or aggregated
         literal depends on them (``path=fresh``).
         """
@@ -675,13 +694,13 @@ class Mediator:
             extra_facts=len(extra),
             include_data=include_data,
         ) as span:
-            revision = self._current_revision()
-            first = include_data not in revision.served
-            base = None if first else self._delta_base(revision, include_data)
+            record = self._flavour(include_data)
+            first = not record.served
+            base = None if first else self._delta_base(record)
             if base is None or not base.accepts(extra):
                 span.set(path="fresh")
-                result = self._evaluate_fresh(extra, include_data, first)
-                revision.served.add(include_data)
+                result = self._evaluate_fresh(record, extra, first)
+                record.served = True
                 return result
             span.set(path="delta")
             for rule in extra:
@@ -690,28 +709,21 @@ class Mediator:
                 base.rules + tuple(extra), check_safety=False, base=base.result
             )
 
-    def _delta_base(self, revision, include_data):
+    def _delta_base(self, record):
         with self._revision_lock:
-            if include_data not in revision.bases:
-                if include_data:
-                    engine = self.engine()
-                else:
-                    engine = FLogicEngine()
-                    engine.tell_rules(self.assembled_rules(include_data=False))
-                # the revision's first evaluation checked these rules
-                base = _DeltaBase(engine)
-                revision.bases[include_data] = (
-                    None if base.result.used_well_founded else base
-                )
-            return revision.bases[include_data]
+            if record.base is None:
+                # the flavour's first evaluation checked these rules
+                record.base = _DeltaBase(record.engine)
+            return record.base
 
-    def _evaluate_fresh(self, extra, include_data, first):
+    @staticmethod
+    def _evaluate_fresh(record, extra, first):
         engine = FLogicEngine()
-        engine.tell_rules(self.assembled_rules(include_data=include_data))
+        engine.tell_rules(record.engine.rules)
         engine.tell_rules(extra)
         if first:
-            # first evaluation of this revision: run the full program
-            # check once; later ones only re-check their fetched facts
+            # first evaluation of this program: run the full check
+            # once; later ones only re-check their fetched facts
             return engine.evaluate(check_safety=True)
         for rule in extra:
             check_rule_safety(rule)

@@ -90,9 +90,10 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
     Skolem terms fail with :class:`EvaluationError` rather than running
     forever.
 
-    `base` is an already-saturated, stratified result of `program`
-    minus some of its facts.  The base store is copied (never
-    mutated), the facts it lacks become the round-0 delta, and each
+    `base` is an already-saturated, stratified result of `program`'s
+    rules over other facts (facts already in its store may be left out
+    of `program`).  The base store is copied (never mutated), the
+    program's facts it lacks become the round-0 delta, and each
     stratum fires its rules only on derivations that use a new fact.
     The result equals a fresh evaluation provided no negated or
     aggregated literal depends on a predicate of the new facts (see
@@ -135,6 +136,29 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
     return _run_strata(
         program, strata, FactStore(), tracer, metrics, max_facts,
         seminaive=(strategy == "seminaive"),
+    )
+
+
+def extend(base, rules):
+    """Saturate `rules` over a copy of the saturated `base` result.
+
+    The rules get their own strata, computed from them alone: every
+    relation they do not define is read as complete in `base`, and
+    shared with it (see :meth:`FactStore.overlay`; `base` is never
+    mutated).  The result equals a fresh evaluation of the base program
+    plus `rules` provided `base` is stratified and no base rule reads a
+    relation one of `rules` defines — the caller checks that; metrics
+    count the extension's work only.
+    """
+    if base.strata is None:
+        raise EvaluationError("an extension needs a stratified base result")
+    rules = list(rules)
+    check_program_safety(rules)
+    tracer = obs.active()
+    metrics = obs.EvaluationMetrics() if tracer.enabled else None
+    store = base.store.overlay({rule.head.signature for rule in rules})
+    return _run_strata(
+        rules, stratify(rules), store, tracer, metrics, None, seminaive=True
     )
 
 
@@ -587,6 +611,9 @@ def _apply_aggregate(func, values):
         numbers.append(v.value)
     if not numbers:
         raise EvaluationError("aggregate %s over empty group" % func)
+    # solutions arrive in fact-store (hash) order; adding the floats in
+    # sorted order makes sums independent of it
+    numbers.sort()
     if func == "sum":
         return sum(numbers)
     if func == "min":

@@ -118,6 +118,23 @@ class FactStore:
                 clone._facts[sig] = set(rows)
         return clone
 
+    def overlay(self, written):
+        """A copy that may only grow the relations of `written`.
+
+        Those relations are copied; every other one, with the indexes
+        built on it, is shared with this store.  This store stays
+        unchanged as long as the copy only adds facts of `written`.
+        """
+        clone = FactStore()
+        for sig, rows in self._facts.items():
+            if rows:
+                clone._facts[sig] = set(rows) if sig in written else rows
+        # one C-level copy: a reader of this store may be indexing it
+        clone._indexes = dict(self._indexes)
+        for sig in written:
+            clone._indexes.pop(sig, None)
+        return clone
+
     def merge(self, other):
         """In-place union with another store; returns self."""
         for sig, rows in other._facts.items():

@@ -298,7 +298,9 @@ def least_upper_bounds(dm, concepts, order="isa"):
     """The minimal elements of the common upper bounds (sorted).
 
     In a DAG the lub need not be unique; all minimal common ancestors
-    are returned, ordered by name for determinism.
+    are returned, ordered by name for determinism.  Minimality compares
+    eqv classes (an isa cycle is one class): a bound is dropped only
+    when another bound lies strictly below it, outside its class.
     """
     concepts = list(concepts)
     with obs.span("dm.lub", concepts=len(concepts), order=order) as span:
@@ -312,7 +314,9 @@ def least_upper_bounds(dm, concepts, order="isa"):
         result = sorted(
             b
             for b in bounds
-            if not any(o != b and b in ancestors_of[o] for o in bounds)
+            if not any(
+                b in ancestors_of[o] and o not in ancestors_of[b] for o in bounds
+            )
         )
         if span.enabled:
             span.set(bounds=len(result))

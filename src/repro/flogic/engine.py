@@ -18,8 +18,9 @@ from typing import Iterable, List, Optional, Sequence
 
 from .. import obs
 from ..datalog.ast import Atom, Program, Rule
-from ..datalog.engine import EvaluationResult, evaluate
+from ..datalog.engine import EvaluationResult, evaluate, extend
 from ..datalog.parser import parse_program as parse_datalog
+from ..datalog.stratify import build_dependency_graph
 from ..datalog.terms import Const, Term, Var, substitute, term_sort_key
 from .ast import FLRule
 from .axioms import core_axioms, signature_inheritance_axioms, value_inheritance_axioms
@@ -34,7 +35,9 @@ class FLogicEngine:
         self._rules: List[Rule] = []
         self._signature_inheritance = signature_inheritance
         self._result: Optional[EvaluationResult] = None
-        self._translator = Translator()
+        #: signatures the assembled program's rule bodies read (cached
+        #: with `_result`)
+        self._reads: Optional[frozenset] = None
 
     # -- loading knowledge ------------------------------------------------
 
@@ -50,7 +53,7 @@ class FLogicEngine:
         """Add already-parsed F-logic rules."""
         fl_rules = list(fl_rules)
         with obs.span("flogic.translate", fl_rules=len(fl_rules)) as span:
-            rules = self._translator.translate_rules(fl_rules)
+            rules = Translator().translate_rules(fl_rules)
             span.set(datalog_rules=len(rules))
         self._add_rules(rules)
         return self
@@ -78,6 +81,7 @@ class FLogicEngine:
         if rules:
             self._rules.extend(rules)
             self._result = None
+            self._reads = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -90,14 +94,17 @@ class FLogicEngine:
             rule.head.pred == PRED_DEFAULT_VAL for rule in self._rules
         )
 
-    def _assemble(self, extra_rules=()):
-        program = Program()
-        program.extend(self._rules)
-        program.extend(core_axioms())
+    def _axioms(self):
+        axioms = list(core_axioms())
         if self._signature_inheritance:
-            program.extend(signature_inheritance_axioms())
+            axioms.extend(signature_inheritance_axioms())
         if self._uses_defaults():
-            program.extend(value_inheritance_axioms())
+            axioms.extend(value_inheritance_axioms())
+        return axioms
+
+    def _assemble(self, extra_rules=()):
+        program = Program(self._rules)
+        program.extend(self._axioms())
         program.extend(extra_rules)
         return program
 
@@ -137,10 +144,16 @@ class FLogicEngine:
         variable name to Python value / term), one per answer.  Example::
 
             engine.ask("X : neuron[has -> C]")
+
+        The query rule and its negation helpers are saturated over the
+        knowledge base's cached evaluation (``path=extend`` on the
+        span); the whole program is evaluated afresh (``path=fresh``)
+        when that evaluation needed the well-founded fallback or a
+        knowledge-base rule reads a relation a new query rule defines.
         """
         with obs.span("flogic.ask", query=query_text) as ask_span:
             fl_items = parse_fl_body(query_text)
-            body, aux_rules = self._translator.translate_body(fl_items)
+            body, aux_rules = Translator().translate_body(fl_items)
             answer_vars = sorted(
                 {
                     v
@@ -151,9 +164,14 @@ class FLogicEngine:
                 key=lambda v: v.name,
             )
             goal = Atom("_query", tuple(answer_vars))
-            query_rule = Rule(goal, tuple(body))
-            program = self._assemble(extra_rules=list(aux_rules) + [query_rule])
-            result = evaluate(program)
+            query_rules = list(aux_rules) + [Rule(goal, tuple(body))]
+            base = self.evaluate()
+            if self._extends(base, query_rules):
+                ask_span.set(path="extend")
+                result = extend(base, query_rules)
+            else:
+                ask_span.set(path="fresh")
+                result = evaluate(self._assemble(extra_rules=query_rules))
             ask_span.set(answers=len(list(result.store.rows(goal.signature))))
         bindings = []
         for args in result.store.rows(goal.signature):
@@ -170,6 +188,26 @@ class FLogicEngine:
         )
         return bindings
 
+    def _extends(self, base, rules):
+        """Can `rules` be saturated over the evaluation `base` alone?
+
+        Not when `base` is well-founded, nor when a program rule reads
+        the head of one of `rules` that the program lacks: its
+        conclusions would be missing from `base`.
+        """
+        if base.used_well_founded:
+            return False
+        reads = self._reads
+        if reads is None:
+            proper = [rule for rule in self._rules if not rule.is_fact]
+            graph = build_dependency_graph(proper + self._axioms()).graph
+            reads = self._reads = frozenset().union(*graph.values())
+        read = [rule for rule in rules if rule.head.signature in reads]
+        if not read:
+            return True
+        program = self._assemble()
+        return all(rule in program for rule in read)
+
     def holds(self, query_text):
         """True when the query has at least one answer."""
         return bool(self.ask(query_text))
@@ -184,7 +222,7 @@ class FLogicEngine:
         from ..datalog.provenance import explain as datalog_explain
 
         fl_items = parse_fl_body(query_text)
-        body, aux_rules = self._translator.translate_body(fl_items)
+        body, aux_rules = Translator().translate_body(fl_items)
         if aux_rules or len(body) != 1 or not isinstance(body[0], Literal):
             raise ValueError(
                 "explain() takes a single positive ground fact, got %r"

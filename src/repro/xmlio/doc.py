@@ -28,27 +28,31 @@ def serialize(element, indent=0):
 
     Attributes are emitted in sorted order so wire messages are
     reproducible across runs (useful for tests and message digests).
+    The whole tree is written into one output list, joined once.
     """
-    pad = "  " * indent
-    pieces = [pad, "<", element.tag]
-    for key in sorted(element.attrib):
-        pieces.append(' %s="%s"' % (key, _escape_attr(element.attrib[key])))
-    children = list(element)
+    out = []
+    _write(element, "  " * indent, out.append)
+    return "".join(out)
+
+
+def _write(element, pad, append):
+    tag = element.tag
+    append(pad + "<" + tag)
+    attrib = element.attrib
+    for key in sorted(attrib):
+        append(' %s="%s"' % (key, _escape_attr(attrib[key])))
     text = (element.text or "").strip()
-    if not children and not text:
-        pieces.append("/>")
-        return "".join(pieces)
-    pieces.append(">")
+    if not len(element):
+        append(">%s</%s>" % (_escape_text(text), tag) if text else "/>")
+        return
+    append(">")
     if text:
-        pieces.append(_escape_text(text))
-    if children:
-        for child in children:
-            pieces.append("\n")
-            pieces.append(serialize(child, indent + 1))
-        pieces.append("\n")
-        pieces.append(pad)
-    pieces.append("</%s>" % element.tag)
-    return "".join(pieces)
+        append(_escape_text(text))
+    inner = pad + "  "
+    for child in element:
+        append("\n")
+        _write(child, inner, append)
+    append("\n%s</%s>" % (pad, tag))
 
 
 def _escape_attr(value):

@@ -16,7 +16,7 @@ import runpy
 import pytest
 
 from repro import obs
-from repro.core import Mediator
+from repro.core import IntegratedView, Mediator
 from repro.core.planner import CorrelationQuery
 from repro.datalog import Atom, Const, Rule
 from repro.flogic import PRED_DEFAULT_VAL
@@ -88,12 +88,35 @@ class TestPathSelection:
         assert traced_evaluate_with(mediator, extra, include_data=True)[0] == "delta"
 
     def test_a_write_starts_a_new_revision(self):
+        # writes that change the program: a view, a DM refinement
         mediator = lab_mediator()
         extra = lab_facts(mediator)
         traced_evaluate_with(mediator, extra)
         assert traced_evaluate_with(mediator, extra)[0] == "delta"
-        mediator.register(make_wrapper("LAB2", concept="Tissue"), eager=False)
+        mediator.add_view(IntegratedView("v", "X : v :- X : sample."))
         assert traced_evaluate_with(mediator, extra)[0] == "fresh"
+        assert traced_evaluate_with(mediator, extra)[0] == "delta"
+        mediator.register(
+            make_wrapper("LAB2", concept="Tissue"),
+            dm_refinement="Cell_Body < Cell",
+            eager=False,
+        )
+        path, result = traced_evaluate_with(mediator, extra)
+        assert path == "fresh"
+        assert result.store.same_facts(fresh_store(mediator, extra))
+
+    def test_a_write_that_keeps_the_program_keeps_the_base(self):
+        # a lazy lab with the same schema adds anchors, not rules
+        mediator = lab_mediator()
+        extra = lab_facts(mediator)
+        traced_evaluate_with(mediator, extra)
+        assert traced_evaluate_with(mediator, extra)[0] == "delta"
+        rules = frozenset(mediator.assembled_rules(include_data=False))
+        mediator.register(make_wrapper("LAB2", concept="Tissue"), eager=False)
+        assert frozenset(mediator.assembled_rules(include_data=False)) == rules
+        path, result = traced_evaluate_with(mediator, extra)
+        assert path == "delta"
+        assert result.store.same_facts(fresh_store(mediator, extra))
 
     @pytest.mark.parametrize(
         "rule",
@@ -131,6 +154,40 @@ class TestPathSelection:
             path, result = traced_evaluate_with(mediator, extra)
             assert path == "fresh"
             assert result.used_well_founded
+
+
+class TestContentKeys:
+    """Each flavour's record is keyed by its rule set: a write marks it
+    stale, and the next read keeps it when the rules are the same."""
+
+    def test_engine_carries_over_an_unchanged_program(self):
+        mediator = lab_mediator()
+        engine = mediator.engine()
+        mediator.register(make_wrapper("LAB2", concept="Tissue"), eager=False)
+        assert mediator.engine() is engine
+        mediator.add_view(IntegratedView("v", "X : v :- X : sample."))
+        assert mediator.engine() is not engine
+
+    def test_domain_map_compiles_once_per_dm_revision(self, monkeypatch):
+        from repro.core import mediator as mediator_module
+
+        calls = []
+        compile_domain_map = mediator_module.compile_domain_map
+        monkeypatch.setattr(
+            mediator_module,
+            "compile_domain_map",
+            lambda *args, **kwargs: calls.append(1)
+            or compile_domain_map(*args, **kwargs),
+        )
+        mediator = lab_mediator()
+        first = frozenset(mediator.assembled_rules(include_data=False))
+        mediator.register(make_wrapper("LAB2", concept="Tissue"), eager=False)
+        mediator.evaluate_with(lab_facts(mediator), include_data=True)
+        assert frozenset(mediator.assembled_rules(include_data=False)) == first
+        assert len(calls) == 1
+        mediator.dm.isa("Cell", "Tissue")
+        assert frozenset(mediator.assembled_rules(include_data=False)) != first
+        assert len(calls) == 2
 
 
 class TestDirectDomainMapEdits:

@@ -304,6 +304,16 @@ class TestAggregates:
         )
         assert rows == [{"G": "x", "S": 7}, {"G": "y", "S": 5}]
 
+    def test_float_sum_is_independent_of_fact_order(self):
+        # 0.1 + 0.2 + 0.3 rounds differently depending on the order
+        values = ["0.1", "0.2", "0.3", "0.7"]
+        sums = set()
+        for order in (values, values[::-1], values[1:] + values[:1]):
+            facts = " ".join("m(%s)." % value for value in order)
+            program = facts + " s(X) :- X = sum{V; m(V)}. a(X) :- X = avg{V; m(V)}."
+            sums.add((repr(answers(program, "s(X)")), repr(answers(program, "a(X)"))))
+        assert len(sums) == 1
+
     def test_min_max(self):
         program = "m(1). m(5). m(3). lo(X) :- X = min{V; m(V)}. hi(X) :- X = max{V; m(V)}."
         assert answers(program, "lo(X)") == [{"X": 1}]

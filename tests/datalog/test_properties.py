@@ -214,3 +214,21 @@ class TestFactStoreProperties:
         clone = store.copy()
         clone.add(Atom("p", (Const(99), Const(99))))
         assert len(clone) == len(store) + 1
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))
+    def test_overlay_grows_only_its_written_relations(self, pairs):
+        store = FactStore()
+        for a, b in pairs:
+            store.add(Atom("p", (Const(a), Const(b))))
+            store.add(Atom("q", (Const(a),)))
+        # an index built on the base is shared with the overlay
+        indexed = set(store.candidates(Atom("p", (Const(3), Var("Y"))), {}))
+        before = store.copy()
+        overlay = store.overlay({("q", 1)})
+        overlay.add(Atom("q", (Const(99),)))
+        for a, b in pairs:
+            overlay.add(Atom("q", (Const(b + 10),)))
+        assert store.same_facts(before)
+        assert set(overlay.candidates(Atom("p", (Const(3), Var("Y"))), {})) == indexed
+        assert overlay.contains(Atom("q", (Const(99),)))
+        assert len(overlay) == len(store) + 1 + len({b for _a, b in pairs})

@@ -6,6 +6,7 @@ and check each read against a fresh copy (which builds its own index)
 and, for the closures, against the paper's Datalog rules.
 """
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from repro.domainmap import (
     role_containers,
     upper_bounds,
 )
+from repro.errors import NoUpperBoundError
 from repro.neuro import build_anatom, build_scenario, section5_query
 
 BASE = ["C0", "C1", "C2", "C3", "C4", "C5"]
@@ -201,3 +203,53 @@ class TestIndexTrace:
             mediator.correlate(section5_query())
         assert len(edited.find_spans("dm.index")) == 1
         assert edited.metrics.counter_value("dm.graphops", op="index") == 1
+
+
+def _oracle_least_upper_bounds(dm, concepts, order):
+    """Minimal common upper bounds over the condensation of the
+    navigation graph: a bound is minimal when no other bound's
+    component lies below its own."""
+    graph = nx.DiGraph()
+    for node, successors in navigation_graph(dm, order).items():
+        graph.add_node(node)
+        graph.add_edges_from((node, successor) for successor in successors)
+    condensed = nx.condensation(graph)
+    component = condensed.graph["mapping"]
+    bounds = upper_bounds(dm, concepts, order)
+    return sorted(
+        b
+        for b in bounds
+        if not any(
+            component[o] in nx.descendants(condensed, component[b])
+            for o in bounds
+        )
+    )
+
+
+class TestLeastUpperBoundsOverCycles:
+    def test_eqv_class_above_two_concepts(self):
+        dm = DomainMap("cycle")
+        dm.add_concepts(["A", "B", "Top", "Top2", "Root"])
+        dm.isa("A", "Top")
+        dm.isa("B", "Top")
+        dm.isa("Top", "Root")
+        dm.eqv("Top", "Top2")
+        assert least_upper_bounds(dm, ["A", "B"]) == ["Top", "Top2"]
+        assert lub(dm, ["A", "B"]) == "Top"
+        assert least_upper_bounds(dm, ["Top"]) == ["Top", "Top2"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equal_a_condensation_oracle(self, data):
+        dm = fresh_dm()
+        fresh_names = iter(range(100))
+        for _ in range(data.draw(st.integers(1, 10))):
+            _mutate(data, dm, fresh_names)
+        concepts = data.draw(
+            st.lists(st.sampled_from(sorted(dm.concepts)), min_size=1, max_size=3)
+        )
+        order = data.draw(st.sampled_from(ORDERS))
+        expected = _oracle_least_upper_bounds(dm, concepts, order)
+        assert _outcome(least_upper_bounds, dm, (concepts, order)) == (
+            expected or NoUpperBoundError
+        )

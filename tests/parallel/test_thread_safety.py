@@ -12,6 +12,7 @@ import sys
 import threading
 
 from repro.cache.answers import AnswerCache, CacheEntry
+from repro.core import IntegratedView
 from repro.domainmap import lub, part_tree, role_containers
 from repro.flogic.engine import FLogicEngine
 from repro.neuro import build_anatom, build_scenario, section5_query
@@ -163,10 +164,54 @@ class TestSharedKnowledgeBaseHammer:
             sys.setswitchinterval(interval)
         assert all(answers == [expected] * 4 for answers in seen)
         # the cached base still holds exactly the schema program's model
-        base = mediator._revision.bases[False].result.store
+        base = mediator._flavours[False].base.result.store
         engine = FLogicEngine()
         engine.tell_rules(mediator.assembled_rules(include_data=False))
         assert base.same_facts(engine.evaluate().store)
+
+
+class TestConcurrentAskHammer:
+    """Threads asking one mediator race through the knowledge base's
+    first evaluation and then extend the shared saturated result; a
+    write in between makes them race through a new one."""
+
+    QUERIES = (
+        "X : protein_amount[ion_bound -> calcium; amount -> A]",
+        "T = sum{A [C]; X : protein_amount[ion_bound -> calcium; "
+        "amount -> A], anchor(X, C)}",
+        "X : protein_amount, not (X[ion_bound -> calcium], "
+        "X[organism -> rat])",
+        "X : neurotransmission, not (X[organism -> mouse], "
+        "X[transmitting_compartment -> 'parallel fiber'])",
+    )
+
+    @classmethod
+    def _asks(cls, mediator, first):
+        queries = cls.QUERIES[first:] + cls.QUERIES[:first]
+        return {query: mediator.ask(query) for query in queries}
+
+    def test_answers_equal_a_serial_run(self):
+        mediator = build_scenario().mediator
+        reference = build_scenario().mediator
+        view = "X : rat_protein :- X : protein_amount[organism -> rat]."
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for write in (None, view):
+                if write is not None:
+                    for target in (mediator, reference):
+                        target.add_view(IntegratedView("rat_protein", write))
+                expected = self._asks(reference, 0)
+                assert all(expected.values())
+                seen = [None] * THREADS
+
+                def ask(i):
+                    seen[i] = self._asks(mediator, i % len(self.QUERIES))
+
+                hammer(ask)
+                assert seen == [expected] * THREADS
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestClosureIndexHammer:
