@@ -39,6 +39,7 @@ from .engine import (
     evaluate,
     match_atom,
     query,
+    solve,
     well_founded_model,
 )
 from .magic import magic_query, magic_transform
@@ -110,6 +111,7 @@ __all__ = [
     "parse_term",
     "query",
     "rename_apart",
+    "solve",
     "stratify",
     "struct",
     "substitute",

@@ -21,16 +21,18 @@ check guarantees is always eventually possible.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+import functools
+from operator import itemgetter
+from typing import Dict, List, Set, Tuple
 
 from .. import obs
 from ..errors import EvaluationError, StratificationError
-from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Program, Rule
-from .builtins import solve_assignment, solve_comparison
+from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal
+from .builtins import compare_values, evaluate_expression
 from .safety import check_program_safety
 from .store import FactStore
 from .stratify import is_aggregate_stratified, stratify
-from .terms import Const, Struct, Term, Var, substitute, term_sort_key, unify, walk
+from .terms import Const, Struct, Term, Var, substitute, term_sort_key, unify
 
 
 class EvaluationResult:
@@ -121,7 +123,7 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
         if not is_aggregate_stratified(program):
             raise
         true_store, undefined = well_founded_model(
-            program, check_safety=False, metrics=metrics
+            program, check_safety=False, metrics=metrics, max_facts=max_facts
         )
         if metrics is not None:
             metrics.store_size = len(true_store)
@@ -268,7 +270,8 @@ def _externalize(subst, goal):
     return binding
 
 
-def well_founded_model(program, check_safety=True, max_rounds=10_000, metrics=None):
+def well_founded_model(program, check_safety=True, max_rounds=10_000, metrics=None,
+                       max_facts=None):
     """Compute the well-founded model by alternating fixpoint.
 
     Returns ``(true_store, undefined_store)``.  The iteration maintains
@@ -281,19 +284,24 @@ def well_founded_model(program, check_safety=True, max_rounds=10_000, metrics=No
 
     `metrics` is an optional :class:`~repro.obs.EvaluationMetrics`
     whose ``wf_alternations`` records how many T/U alternations ran.
+    `max_facts` bounds each Gamma evaluation as it bounds
+    :func:`evaluate`.
     """
     if check_safety:
         check_program_safety(program)
     tracer = obs.active()
     rules = list(program)
+    if max_facts is None:
+        max_facts = DEFAULT_MAX_FACTS
     with tracer.span("datalog.wellfounded", rules=len(rules)) as wf_span:
         true_estimate = FactStore()  # T: certainly-true facts
-        possible = _gamma(rules, FactStore())  # U_0 = Gamma(empty): everything possible
+        # U_0 = Gamma(empty): everything possible
+        possible = _gamma(rules, FactStore(), max_facts)
         alternations = 0
         for _round in range(max_rounds):
             with tracer.span("datalog.wf_round", round=_round):
-                new_true = _gamma(rules, possible)
-                new_possible = _gamma(rules, new_true)
+                new_true = _gamma(rules, possible, max_facts)
+                new_possible = _gamma(rules, new_true, max_facts)
             alternations += 1
             if new_true.same_facts(true_estimate) and new_possible.same_facts(possible):
                 break
@@ -312,12 +320,30 @@ def well_founded_model(program, check_safety=True, max_rounds=10_000, metrics=No
     return true_estimate, undefined
 
 
-def _gamma(rules, anti_store):
+def _gamma(rules, anti_store, max_facts):
     """Least model of `rules` with negation evaluated against `anti_store`."""
     store = FactStore()
-    evaluator = _Evaluator(store, negation_store=anti_store)
+    evaluator = _Evaluator(store, negation_store=anti_store, max_facts=max_facts)
     evaluator.saturate(rules)
     return store
+
+
+def solve(store, body, bindings):
+    """The substitutions that extend `bindings` and satisfy `body`.
+
+    `body` is a conjunction of body items (literals, comparisons,
+    assignments, aggregates), solved over the facts of `store`, with
+    negated literals read against `store` too.  `bindings` maps
+    variables to ground terms; those variables count as bound from the
+    start.  Returns one dict per solution, mapping every variable the
+    body binds (and every bound one) to its ground term, in the order
+    the engine finds them.
+    """
+    bound = tuple(bindings)
+    plan = _body_plan(tuple(body), bound)
+    initial = plan.initial + tuple(bindings[v] for v in bound)
+    parts = plan.run((store, None, store), initial)
+    return [{v: p[slot] for v, slot in plan.variables} for p in parts]
 
 
 class _Evaluator:
@@ -347,6 +373,13 @@ class _Evaluator:
                 "recursion?)" % self.max_facts
             )
 
+    def _fire(self, plan, delta):
+        """The head argument tuples of one pass of `plan`, its delta
+        literal (if any) reading `delta`."""
+        negation = self.negation_store
+        sources = (self.store, delta, self.store if negation is None else negation)
+        return list(map(plan.emit, plan.run(sources)))
+
     # -- saturation --------------------------------------------------
 
     def saturate(self, rules, stratum_metrics=None, derived_at=None, new=None):
@@ -362,45 +395,46 @@ class _Evaluator:
         proper = [r for r in rules if not r.is_fact]
         collect = stratum_metrics is not None
         stratum_index = stratum_metrics.index if collect else 0
+        store = self.store
         delta = FactStore()
         for rule in facts:
-            if self.store.add(rule.head):
+            if store.add(rule.head):
                 delta.add(rule.head)
                 if collect and derived_at is not None:
                     derived_at.setdefault(rule.head, (stratum_index, 0))
 
+        def derive(plan, source, target, round_no):
+            """Fire `plan` (its delta literal reading `source`) and add
+            the new heads to the store and to `target`."""
+            heads = self._fire(plan, source)
+            if collect:
+                self.rule_firings += len(heads)
+            pred, sig = plan.head.pred, plan.head.signature
+            for args in heads:
+                if store.add_row(sig, args):
+                    target.add_row(sig, args)
+                    if collect and derived_at is not None:
+                        derived_at.setdefault(
+                            Atom(pred, args), (stratum_index, round_no)
+                        )
+
         local_sigs = {r.head.signature for r in rules}
-        ordered = [(rule, _order_body(rule)) for rule in proper]
 
         # First pass: every rule against the complete store (with
         # `new`: once per literal over a relation with new facts).
-        # Heads are buffered per rule so the store is never mutated
-        # while a candidate set from the same relation is being iterated.
-        for rule, body in ordered:
+        # Heads are buffered per pass so the store is never mutated
+        # while a relation or index of it is being iterated.
+        for rule in proper:
             if new is None:
-                positions = [None]
+                passes = [_rule_plan(rule)]
             else:
-                positions = [
-                    i
-                    for i, item in enumerate(body)
-                    if isinstance(item, Literal)
-                    and item.positive
-                    and new.rows(item.atom.signature)
+                passes = [
+                    _rule_plan(rule, item, 0)
+                    for item in _rule_plan(rule).body
+                    if _is_positive(item) and new.rows(item.atom.signature)
                 ]
-            for pass_body, position in _joins(rule, body, positions, new):
-                heads = [
-                    rule.head.substitute(subst)
-                    for subst in self._solve(pass_body, 0, {}, position, new)
-                ]
-                if collect:
-                    self.rule_firings += len(heads)
-                for head in heads:
-                    if not head.is_ground():
-                        raise EvaluationError("derived non-ground fact %s" % head)
-                    if self.store.add(head):
-                        delta.add(head)
-                        if collect and derived_at is not None:
-                            derived_at.setdefault(head, (stratum_index, 0))
+            for plan in passes:
+                derive(plan, new, delta, 0)
         if new is not None:
             # later strata see this stratum's facts as new; the rounds
             # below read `delta`, never `new`
@@ -409,20 +443,18 @@ class _Evaluator:
             stratum_metrics.rounds.append(len(delta))
             stratum_metrics.facts_derived += len(delta)
 
-        # Semi-naive rounds: require one recursive literal in the delta.
+        # Semi-naive rounds: one join per recursive literal, that
+        # literal reading the previous round's delta.
         recursive = []
-        for rule, body in ordered:
-            delta_positions = [
+        for rule in proper:
+            body = _rule_plan(rule).body
+            positions = [
                 i
                 for i, item in enumerate(body)
-                if isinstance(item, Literal)
-                and item.positive
-                and item.atom.signature in local_sigs
+                if _is_positive(item) and item.atom.signature in local_sigs
             ]
-            if delta_positions:
-                recursive.append(
-                    (rule, body, _joins(rule, body, delta_positions, new))
-                )
+            if positions:
+                recursive.append((rule, _delta_plans(rule, body, positions, new)))
 
         if not self.seminaive:
             # Naive ablation: every recursive rule refires against the
@@ -430,27 +462,14 @@ class _Evaluator:
             changed = bool(delta)
             round_no = 0
             while changed:
-                changed = False
                 round_no += 1
-                derived_this_round = 0
-                for rule, body, _passes in recursive:
-                    heads = [
-                        rule.head.substitute(subst)
-                        for subst in self._solve(body, 0, {}, None, None)
-                    ]
-                    if collect:
-                        self.rule_firings += len(heads)
-                    for head in heads:
-                        if self.store.add(head):
-                            changed = True
-                            derived_this_round += 1
-                            if collect and derived_at is not None:
-                                derived_at.setdefault(
-                                    head, (stratum_index, round_no)
-                                )
+                derived = FactStore()
+                for rule, _plans in recursive:
+                    derive(_rule_plan(rule), None, derived, round_no)
+                changed = bool(derived)
                 if collect:
-                    stratum_metrics.rounds.append(derived_this_round)
-                    stratum_metrics.facts_derived += derived_this_round
+                    stratum_metrics.rounds.append(len(derived))
+                    stratum_metrics.facts_derived += len(derived)
                 self._check_budget()
             return
 
@@ -465,25 +484,9 @@ class _Evaluator:
                 "datalog.round", round=round_no, delta_in=len(delta)
             ) as round_span:
                 new_delta = FactStore()
-                for rule, _body, passes in recursive:
-                    for pass_body, position in passes:
-                        heads = [
-                            rule.head.substitute(subst)
-                            for subst in self._solve(pass_body, 0, {}, position, delta)
-                        ]
-                        if collect:
-                            self.rule_firings += len(heads)
-                        for head in heads:
-                            if not head.is_ground():
-                                raise EvaluationError(
-                                    "derived non-ground fact %s" % head
-                                )
-                            if self.store.add(head):
-                                new_delta.add(head)
-                                if collect and derived_at is not None:
-                                    derived_at.setdefault(
-                                        head, (stratum_index, round_no)
-                                    )
+                for _rule, plans in recursive:
+                    for plan in plans:
+                        derive(plan, delta, new_delta, round_no)
                 if collect:
                     stratum_metrics.rounds.append(len(new_delta))
                     stratum_metrics.facts_derived += len(new_delta)
@@ -493,110 +496,18 @@ class _Evaluator:
             if new is not None:
                 new.merge(delta)
 
-    # -- body solving ------------------------------------------------
 
-    def _solve(self, body, index, subst, delta_position, delta):
-        """Yield substitutions satisfying body[index:] under `subst`.
-
-        When `delta_position` is not None, the literal at that body
-        index draws its candidate facts from `delta` instead of the full
-        store (semi-naive restriction).
-        """
-        if index == len(body):
-            yield subst
-            return
-        item = body[index]
-        if isinstance(item, Literal):
-            if item.positive:
-                source = (
-                    delta
-                    if delta_position == index and delta is not None
-                    else self.store
-                )
-                atom = item.atom
-                for args in source.candidates(atom, subst):
-                    new = subst
-                    ok = True
-                    for pattern, ground in zip(atom.args, args):
-                        new = unify(pattern, ground, new)
-                        if new is None:
-                            ok = False
-                            break
-                    if ok:
-                        yield from self._solve(
-                            body, index + 1, new, delta_position, delta
-                        )
-            else:
-                ground = item.atom.substitute(subst)
-                if not ground.is_ground():
-                    raise EvaluationError(
-                        "negated subgoal %s not ground at evaluation time"
-                        % ground
-                    )
-                target = (
-                    self.negation_store
-                    if self.negation_store is not None
-                    else self.store
-                )
-                if not target.contains(ground):
-                    yield from self._solve(
-                        body, index + 1, subst, delta_position, delta
-                    )
-        elif isinstance(item, Comparison):
-            for new in solve_comparison(item, subst):
-                yield from self._solve(body, index + 1, new, delta_position, delta)
-        elif isinstance(item, Assignment):
-            for new in solve_assignment(item, subst):
-                yield from self._solve(body, index + 1, new, delta_position, delta)
-        elif isinstance(item, AggregateLiteral):
-            for new in self._solve_aggregate(item, subst):
-                yield from self._solve(body, index + 1, new, delta_position, delta)
-        else:
-            raise EvaluationError("unsupported body item %r" % (item,))
-
-    def _solve_aggregate(self, agg, subst):
-        """Group the aggregate subgoal's solutions and bind the result."""
-        inner_body = _order_body_items(list(agg.body))
-        groups: Dict[Tuple, List] = {}
-        for inner in self._solve(inner_body, 0, dict(subst), None, None):
-            key = tuple(substitute(g, inner) for g in agg.group_by)
-            value = substitute(agg.value, inner)
-            if not value.is_ground():
-                raise EvaluationError(
-                    "aggregate value %s not ground" % value
-                )
-            groups.setdefault(key, []).append(value)
-        for key, values in sorted(
-            groups.items(),
-            key=lambda kv: tuple(term_sort_key(t) for t in kv[0]),
-        ):
-            result_value = _apply_aggregate(agg.func, values)
-            new = dict(subst)
-            ok = True
-            for pattern, ground in zip(agg.group_by, key):
-                unified = unify(pattern, ground, new)
-                if unified is None:
-                    ok = False
-                    break
-                new = unified
-            if not ok:
-                continue
-            unified = unify(agg.result, Const(result_value), new)
-            if unified is not None:
-                yield unified
-
-
-def _joins(rule, body, positions, new):
-    """(body, delta position) pairs: one join per delta literal position
-    of the greedily ordered `body` (None: no delta literal).
+def _delta_plans(rule, body, positions, new):
+    """One plan per delta literal position of the greedily ordered
+    `body`.
 
     Over a saturated base (`new` given) deltas are small, so each join
     starts from its delta literal; a fresh evaluation keeps the greedy
     order, where deltas are large.
     """
     if new is None:
-        return [(body, i) for i in positions]
-    return [(_order_body_items(rule.body, first=body[i]), 0) for i in positions]
+        return [_rule_plan(rule, None, i) for i in positions]
+    return [_rule_plan(rule, body[i], 0) for i in positions]
 
 
 def _apply_aggregate(func, values):
@@ -625,9 +536,8 @@ def _apply_aggregate(func, values):
     raise EvaluationError("unknown aggregate %r" % func)
 
 
-def _order_body(rule):
-    """Greedy evaluation order for a rule body (see module docstring)."""
-    return _order_body_items(list(rule.body))
+def _is_positive(item):
+    return isinstance(item, Literal) and item.positive
 
 
 def _order_body_items(items, first=None):
@@ -683,3 +593,456 @@ def _is_ready_filter(item, bound):
     if isinstance(item, Assignment):
         return all(v in bound for v in item.expr.variables())
     return False
+
+
+# -- join plans ---------------------------------------------------------
+#
+# A plan solves a body set-at-a-time.  A partial solution is a tuple:
+# first the plan's constants, then one ground term per variable in the
+# order the body binds them, so a variable's *slot* is a fixed index.
+# Each step maps the list of partial solutions to their extensions.  A
+# positive literal looks its rows up in a hash index keyed by the
+# argument positions bound before it, appends the values of the
+# positions that bind a new variable, and checks the positions that
+# repeat one.  Unification remains only for compound (Struct) patterns
+# with unbound variables: Skolem terms and reified tuples.
+#
+# A step reads its facts from `sources`, the triple (store, delta,
+# negation target): positive literals read the store, or the delta at
+# the plan's delta literal; negated ones read the negation target.
+
+
+@functools.lru_cache(maxsize=4096)
+def _rule_plan(rule, first=None, delta=None):
+    """The plan of `rule`'s body in greedy order (starting from the
+    literal `first` when given), the literal at body index `delta`
+    reading the delta.  Rules are immutable, so plans are shared by
+    every evaluation of them."""
+    return _Plan(_order_body_items(rule.body, first), delta, head=rule.head)
+
+
+@functools.lru_cache(maxsize=1024)
+def _body_plan(body, bound):
+    return _Plan(_order_body_items(body), None, bound=bound)
+
+
+class _Plan:
+    """A body compiled against slots (see the comment above).
+
+    Attributes:
+        body: the body items in join order.
+        delta: index in `body` of the literal that reads the delta.
+        head: the rule head the plan derives (None for a bare body).
+        initial: the partial solution the plan starts from (its
+            constants; pre-bound variables follow them).
+        steps: one function per body item, ``step(parts, sources)``.
+        emit: partial solution -> head argument tuple.
+        variables: (variable, slot) pairs of the outer body.
+    """
+
+    __slots__ = ("body", "delta", "head", "initial", "steps", "emit", "variables")
+
+    def __init__(self, body, delta, head=None, bound=()):
+        self.body = body
+        self.delta = delta
+        self.head = head
+        slots = {}
+        constants = []
+        for term in _atom_constants(body, head):
+            key = _constant_key(term)
+            if key not in slots:
+                slots[key] = len(slots)
+                constants.append(term)
+        self.initial = tuple(constants)
+        for v in bound:
+            slots[v] = len(slots)
+        self.steps = _compile_steps(body, slots, delta)
+        self.variables = [(v, s) for v, s in slots.items() if isinstance(v, Var)]
+        self.emit = None
+        if head is not None:
+            emit = _tuple_builder(head.args, slots)
+            self.emit = emit if emit is not None else _raiser(
+                "derived non-ground fact %s" % head
+            )
+
+    def run(self, sources, initial=None):
+        """The complete solutions, as partial-solution tuples."""
+        return _run(self.steps, [self.initial if initial is None else initial],
+                    sources)
+
+
+def _run(steps, parts, sources):
+    for step in steps:
+        if not parts:
+            break
+        parts = step(parts, sources)
+    return parts
+
+
+def _atom_constants(body, head):
+    """The ground arguments of the atoms of `head` and `body`, aggregate
+    subgoals included: they get slots in every partial solution."""
+    atoms = [head] if head is not None else []
+    items = list(body)
+    while items:
+        item = items.pop()
+        if isinstance(item, Literal):
+            atoms.append(item.atom)
+        elif isinstance(item, AggregateLiteral):
+            items.extend(item.body)
+    return [arg for atom in atoms for arg in atom.args if arg.is_ground()]
+
+
+def _constant_key(term):
+    # Const(1), Const(1.0) and Const(True) are equal but print apart
+    return (term, repr(term))
+
+
+def _slot(term, slots):
+    if isinstance(term, Var):
+        return slots.get(term)
+    if term.is_ground():
+        return slots.get(_constant_key(term))
+    return None
+
+
+def _raiser(message):
+    def fail(*_args):
+        raise EvaluationError(message)
+    return fail
+
+
+def _tuple_getter(indices):
+    """seq -> the tuple of its items at `indices`."""
+    if not indices:
+        return lambda seq: ()
+    if len(indices) == 1:
+        index = indices[0]
+        return lambda seq: (seq[index],)
+    return itemgetter(*indices)
+
+
+def _term_builder(term, slots):
+    """partial solution -> the ground value of `term`; None when a
+    variable of `term` has no slot yet."""
+    slot = _slot(term, slots)
+    if slot is not None:
+        return itemgetter(slot)
+    if isinstance(term, Var):
+        return None
+    if term.is_ground():
+        return lambda p: term
+    builders = [_term_builder(arg, slots) for arg in term.args]
+    if any(b is None for b in builders):
+        return None
+    functor = term.functor
+    return lambda p: Struct(functor, tuple(b(p) for b in builders))
+
+
+def _tuple_builder(terms, slots):
+    """partial solution -> the tuple of the ground values of `terms`;
+    None when one of them is not bound yet."""
+    indices = [_slot(t, slots) for t in terms]
+    if all(i is not None for i in indices):
+        return _tuple_getter(indices)
+    builders = [_term_builder(t, slots) for t in terms]
+    if any(b is None for b in builders):
+        return None
+    return lambda p: tuple(b(p) for b in builders)
+
+
+def _key_builder(terms, slots):
+    """partial solution -> an index key over `terms` (see
+    :meth:`FactStore.index`): the value itself for one term, the tuple
+    of values for several."""
+    indices = [_slot(t, slots) for t in terms]
+    if all(i is not None for i in indices):
+        return itemgetter(*indices)
+    if len(terms) == 1:
+        return _term_builder(terms[0], slots)
+    return _tuple_builder(terms, slots)
+
+
+def _unique_variables(terms):
+    seen = []
+    for term in terms:
+        for v in term.variables():
+            if v not in seen:
+                seen.append(v)
+    return seen
+
+
+_BIND, _CHECK, _EQUAL, _UNIFY = range(4)
+
+
+def _matcher(patterns, slots):
+    """Compile matching ground values against `patterns`.
+
+    Returns ``match(p, values)``: the partial solution `p` extended by
+    the variables of `patterns` that had no slot (they get the next
+    slots, in order of first occurrence), or None on a mismatch.  A
+    bare variable binds or is checked; a compound pattern with unbound
+    variables is unified with its value.
+    """
+    ops = []
+    for pattern in patterns:
+        slot = _slot(pattern, slots)
+        if slot is not None:
+            ops.append((_CHECK, slot))
+        elif isinstance(pattern, Var):
+            slots[pattern] = len(slots)
+            ops.append((_BIND, None))
+        elif pattern.is_ground():
+            ops.append((_EQUAL, pattern))
+        else:
+            variables = _unique_variables([pattern])
+            bound = [(v, slots[v]) for v in variables if v in slots]
+            fresh = [v for v in variables if v not in slots]
+            for v in fresh:
+                slots[v] = len(slots)
+            ops.append((_UNIFY, (pattern, bound, fresh)))
+
+    def match(p, values):
+        q = list(p)
+        for (kind, arg), value in zip(ops, values):
+            if kind == _BIND:
+                q.append(value)
+            elif kind == _CHECK:
+                if q[arg] != value:
+                    return None
+            elif kind == _EQUAL:
+                if arg != value:
+                    return None
+            else:
+                pattern, bound, fresh = arg
+                subst = unify(pattern, value, {v: q[s] for v, s in bound})
+                if subst is None:
+                    return None
+                q.extend(substitute(v, subst) for v in fresh)
+        return tuple(q)
+
+    return match
+
+
+def _compile_steps(body, slots, delta):
+    """One step per item of `body`; `slots` gains the variables the
+    body binds."""
+    steps = []
+    for index, item in enumerate(body):
+        if isinstance(item, Literal) and item.positive:
+            steps.append(_positive_step(item.atom, slots, 1 if index == delta else 0))
+        elif isinstance(item, Literal):
+            steps.append(_negative_step(item.atom, slots))
+        elif isinstance(item, Comparison) and item.op == "=":
+            steps.append(_unify_step(item, slots))
+        elif isinstance(item, Comparison):
+            steps.append(_comparison_step(item, slots))
+        elif isinstance(item, Assignment):
+            steps.append(_assignment_step(item, slots))
+        elif isinstance(item, AggregateLiteral):
+            steps.append(_aggregate_step(item, slots))
+        else:
+            raise EvaluationError("unsupported body item %r" % (item,))
+    return steps
+
+
+def _positive_step(atom, slots, source):
+    """Join with the rows of `atom`'s relation in ``sources[source]``."""
+    sig = atom.signature
+    keys = [i for i, arg in enumerate(atom.args) if _term_builder(arg, slots)]
+    rest = [i for i in range(len(atom.args)) if i not in keys]
+    if not rest:
+        row_of = _tuple_builder(atom.args, slots)
+
+        def member(parts, sources):
+            rows = sources[source].rows(sig)
+            return [p for p in parts if row_of(p) in rows]
+
+        return member
+
+    key = _key_builder([atom.args[i] for i in keys], slots) if keys else None
+    patterns = [atom.args[i] for i in rest]
+    if len(set(patterns)) == len(patterns) and all(
+        isinstance(arg, Var) for arg in patterns
+    ):
+        # the common case: every other position binds a new variable
+        for v in patterns:
+            slots[v] = len(slots)
+        new = _tuple_getter(rest)
+        if key is None:
+            def scan(parts, sources):
+                rows = sources[source].rows(sig)
+                return [p + new(row) for p in parts for row in rows]
+
+            return scan
+        keys = tuple(keys)
+
+        def join(parts, sources):
+            get = sources[source].index(sig, keys).get
+            return [p + new(row) for p in parts for row in get(key(p), ())]
+
+        return join
+
+    match = _matcher(patterns, slots)
+    values = _tuple_getter(rest)
+    keys = tuple(keys)
+
+    def join_matching(parts, sources):
+        if key is None:
+            rows = sources[source].rows(sig)
+            lookup = lambda p: rows  # noqa: E731
+        else:
+            get = sources[source].index(sig, keys).get
+            lookup = lambda p: get(key(p), ())  # noqa: E731
+        out = []
+        for p in parts:
+            for row in lookup(p):
+                q = match(p, values(row))
+                if q is not None:
+                    out.append(q)
+        return out
+
+    return join_matching
+
+
+def _negative_step(atom, slots):
+    """Keep the partial solutions whose ground `atom` is absent from
+    the negation target."""
+    sig = atom.signature
+    row_of = _tuple_builder(atom.args, slots)
+    if row_of is None:
+        return _raiser("negated subgoal %s not ground at evaluation time" % atom)
+
+    def absent(parts, sources):
+        rows = sources[2].rows(sig)
+        return [p for p in parts if row_of(p) not in rows]
+
+    return absent
+
+
+def _unify_step(item, slots):
+    """``left = right``: an equality test when both sides are bound,
+    else the unbound side is matched against the bound one."""
+    left = _term_builder(item.left, slots)
+    right = _term_builder(item.right, slots)
+    if left is not None and right is not None:
+        return lambda parts, sources: [p for p in parts if left(p) == right(p)]
+    if left is None and right is None:
+        return _free_unify_step(item, slots)
+    pattern, value = (item.left, right) if left is None else (item.right, left)
+    match = _matcher([pattern], slots)
+
+    def bind(parts, sources):
+        out = []
+        for p in parts:
+            q = match(p, (value(p),))
+            if q is not None:
+                out.append(q)
+        return out
+
+    return bind
+
+
+def _free_unify_step(item, slots):
+    """``left = right`` with unbound variables on both sides: unified
+    per partial solution, and every variable must end up ground."""
+    variables = _unique_variables([item.left, item.right])
+    bound = [(v, slots[v]) for v in variables if v in slots]
+    fresh = [v for v in variables if v not in slots]
+    for v in fresh:
+        slots[v] = len(slots)
+
+    def free_unify(parts, sources):
+        out = []
+        for p in parts:
+            subst = unify(item.left, item.right, {v: p[s] for v, s in bound})
+            if subst is None:
+                continue
+            values = tuple(substitute(v, subst) for v in fresh)
+            if not all(value.is_ground() for value in values):
+                raise EvaluationError(
+                    "comparison %s leaves variables unbound" % item
+                )
+            out.append(p + values)
+        return out
+
+    return free_unify
+
+
+def _plain_value(term):
+    return term.value if isinstance(term, Const) else term
+
+
+def _comparison_step(item, slots):
+    """A filter comparing two bound values (see
+    :func:`~repro.datalog.builtins.compare_values`)."""
+    left = _term_builder(item.left, slots)
+    right = _term_builder(item.right, slots)
+    if left is None or right is None:
+        return _raiser("comparison %s has unbound arguments" % item)
+    op = item.op
+
+    def compare(parts, sources):
+        return [
+            p for p in parts
+            if compare_values(op, _plain_value(left(p)), _plain_value(right(p)))
+        ]
+
+    return compare
+
+
+def _assignment_step(item, slots):
+    """``Target is Expr``: evaluate the expression, match the target."""
+    variables = _unique_variables([item.expr])
+    missing = [v for v in variables if v not in slots]
+    if missing:
+        return _raiser(
+            "unbound variable %s in arithmetic expression" % missing[0]
+        )
+    bound = [(v, slots[v]) for v in variables]
+    expr = item.expr
+    match = _matcher([item.target], slots)
+
+    def assign(parts, sources):
+        out = []
+        for p in parts:
+            value = Const(evaluate_expression(expr, {v: p[s] for v, s in bound}))
+            q = match(p, (value,))
+            if q is not None:
+                out.append(q)
+        return out
+
+    return assign
+
+
+def _aggregate_step(agg, slots):
+    """Group the subgoal's solutions per partial solution and bind the
+    grouping variables and the result, one extension per group."""
+    inner_slots = dict(slots)
+    inner = _compile_steps(_order_body_items(agg.body), inner_slots, None)
+    group = _tuple_builder(agg.group_by, inner_slots)
+    value = _term_builder(agg.value, inner_slots)
+    if value is None:
+        value = _raiser("aggregate value %s not ground" % agg.value)
+    if group is None:
+        group = _raiser("aggregate grouping %s not ground" % (agg.group_by,))
+    match = _matcher(list(agg.group_by) + [agg.result], slots)
+    func = agg.func
+
+    def aggregate(parts, sources):
+        inner_sources = (sources[0], None, sources[2])
+        out = []
+        for p in parts:
+            groups: Dict[Tuple, List] = {}
+            for q in _run(inner, [p], inner_sources):
+                groups.setdefault(group(q), []).append(value(q))
+            for key, values in sorted(
+                groups.items(),
+                key=lambda kv: tuple(term_sort_key(t) for t in kv[0]),
+            ):
+                q = match(p, key + (Const(_apply_aggregate(func, values)),))
+                if q is not None:
+                    out.append(q)
+        return out
+
+    return aggregate

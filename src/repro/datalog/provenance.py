@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import EvaluationError
 from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Program, Rule
-from .engine import _Evaluator, _order_body_items, evaluate
+from .engine import evaluate, solve
 from .terms import term_sort_key, unify
 
 
@@ -120,7 +120,6 @@ class _Explainer:
         self.rules_by_sig: Dict[Tuple[str, int], List[Rule]] = {}
         for rule in program:
             self.rules_by_sig.setdefault(rule.head.signature, []).append(rule)
-        self.solver = _Evaluator(store)
         #: atom -> its (rule, solution, positive subgoals) instances
         self.instances: Dict[Atom, List[tuple]] = {}
         #: (atom, height) -> its first instance with a proof that high
@@ -170,11 +169,10 @@ class _Explainer:
                         subst = unify(pattern, ground, subst)
                 if subst is None:
                     continue
-                body = _order_body_items(list(rule.body))
                 goals = list(rule.positive_body_atoms())
                 instances = [
                     (rule, solution, tuple(g.substitute(solution) for g in goals))
-                    for solution in self.solver._solve(body, 0, subst, None, None)
+                    for solution in solve(self.store, rule.body, subst)
                 ]
                 found += sorted(instances, key=_term_order)
             self.instances[atom] = found

@@ -1,30 +1,31 @@
 """Indexed ground-fact storage for bottom-up evaluation.
 
 :class:`FactStore` maps relation signatures ``(pred, arity)`` to sets of
-ground argument tuples, with lazily built hash indexes per argument
-position.  The evaluator asks for facts matching a partially bound atom;
-the store answers from the most selective available index.
+ground argument tuples, with lazily built hash indexes keyed by the
+values at a tuple of argument positions.  A join plan asks for the
+index on the positions its literal has bound when it is reached.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, Set, Tuple
 
 from .ast import Atom
-from .terms import Const, Struct, Term, Var, term_sort_key, walk
+from .terms import Term, term_sort_key
 
 Signature = Tuple[str, int]
 FactArgs = Tuple[Term, ...]
 
 
 class FactStore:
-    """A mutable set of ground facts with per-position indexes."""
+    """A mutable set of ground facts with multi-position indexes."""
 
     def __init__(self):
         self._facts: Dict[Signature, Set[FactArgs]] = defaultdict(set)
-        # _indexes[sig][position][ground term] -> set of fact tuples
-        self._indexes: Dict[Signature, Dict[int, Dict[Term, Set[FactArgs]]]] = {}
+        # _indexes[sig][positions] -> (key of a row, {key: [rows]})
+        self._indexes: Dict[Signature, Dict[Tuple[int, ...], tuple]] = {}
 
     def __len__(self):
         return sum(len(rows) for rows in self._facts.values())
@@ -49,8 +50,13 @@ class FactStore:
         rows.add(args)
         indexes = self._indexes.get(sig)
         if indexes:
-            for position, index in indexes.items():
-                index.setdefault(args[position], set()).add(args)
+            for key_of, index in indexes.values():
+                key = key_of(args)
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [args]
+                else:
+                    bucket.append(args)
         return True
 
     def contains(self, atom):
@@ -65,33 +71,30 @@ class FactStore:
         mutate while iterating)."""
         return self._facts.get(sig, frozenset())
 
-    def _index_for(self, sig, position):
-        indexes = self._indexes.setdefault(sig, {})
-        index = indexes.get(position)
-        if index is None:
-            index = {}
-            for args in self._facts.get(sig, ()):
-                index.setdefault(args[position], set()).add(args)
-            indexes[position] = index
-        return index
+    def index(self, sig, positions):
+        """The rows of `sig` by their values at `positions`.
 
-    def candidates(self, atom, subst):
-        """Rows possibly matching `atom` under `subst`.
-
-        Uses the first argument position that is bound to a :class:`Const`
-        or ground :class:`Struct` as an index key; falls back to a full
-        scan of the relation when no position is bound.
+        A dict from key to the list of rows with that key, where a key
+        is the row's value at the one position, or the tuple of its
+        values at several (``operator.itemgetter(*positions)``).  It is
+        built on first use and kept up to date as rows are added.
         """
-        sig = atom.signature
-        rows = self._facts.get(sig)
-        if not rows:
-            return ()
-        for position, arg in enumerate(atom.args):
-            bound = walk(arg, subst)
-            if bound.is_ground() and not isinstance(bound, Var):
-                index = self._index_for(sig, position)
-                return index.get(bound, ())
-        return rows
+        indexes = self._indexes.setdefault(sig, {})
+        entry = indexes.get(positions)
+        if entry is None:
+            key_of = itemgetter(*positions)
+            index: Dict[object, List[FactArgs]] = {}
+            for args in self._facts.get(sig, ()):
+                key = key_of(args)
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [args]
+                else:
+                    bucket.append(args)
+            # published whole: a reader of a shared store may be
+            # looking the same index up
+            entry = indexes[positions] = (key_of, index)
+        return entry[1]
 
     def iter_atoms(self, pred=None):
         """Iterate stored facts as :class:`Atom` objects.

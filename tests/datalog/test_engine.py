@@ -392,6 +392,22 @@ class TestTerminationGuard:
         with pytest.raises(EvaluationError, match="max_facts"):
             evaluate(program, max_facts=500)
 
+    def test_well_founded_fallback_honours_the_bound(self):
+        # not stratifiable (p and q negate each other), so the
+        # alternating fixpoint runs; its Gamma evaluations must stop at
+        # max_facts like the stratified path does
+        program = parse_program(
+            """
+            n(a).
+            n(f(X)) :- n(X), not m(X).
+            m(X) :- n(X), not n(X).
+            p(X) :- not q(X), n(X).
+            q(X) :- not p(X), n(X).
+            """
+        )
+        with pytest.raises(EvaluationError, match="max_facts=50"):
+            evaluate(program, max_facts=50)
+
     def test_guard_does_not_fire_on_terminating_programs(self):
         program = parse_program(
             """

@@ -195,12 +195,11 @@ class TestFactStoreProperties:
         assert len(store) == len(set(pairs))
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))
-    def test_candidates_superset_of_matches(self, pairs):
+    def test_index_lookup_superset_of_matches(self, pairs):
         store = FactStore()
         for a, b in pairs:
             store.add(Atom("p", (Const(a), Const(b))))
-        goal = Atom("p", (Const(3), Var("Y")))
-        candidates = set(store.candidates(goal, {}))
+        candidates = set(store.index(("p", 2), (0,)).get(Const(3), ()))
         matching = {
             (Const(a), Const(b)) for a, b in set(pairs) if a == 3
         }
@@ -222,13 +221,16 @@ class TestFactStoreProperties:
             store.add(Atom("p", (Const(a), Const(b))))
             store.add(Atom("q", (Const(a),)))
         # an index built on the base is shared with the overlay
-        indexed = set(store.candidates(Atom("p", (Const(3), Var("Y"))), {}))
+        index = store.index(("p", 2), (0,))
+        indexed = set(index.get(Const(3), ()))
         before = store.copy()
         overlay = store.overlay({("q", 1)})
         overlay.add(Atom("q", (Const(99),)))
         for a, b in pairs:
             overlay.add(Atom("q", (Const(b + 10),)))
         assert store.same_facts(before)
-        assert set(overlay.candidates(Atom("p", (Const(3), Var("Y"))), {})) == indexed
+        shared = overlay.index(("p", 2), (0,))
+        assert shared is index
+        assert set(shared.get(Const(3), ())) == indexed
         assert overlay.contains(Atom("q", (Const(99),)))
         assert len(overlay) == len(store) + 1 + len({b for _a, b in pairs})

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.datalog import Atom, Const, FactStore, Var, evaluate, parse_atom, parse_program
+from repro.datalog import (
+    Atom, Const, FactStore, Literal, Var, evaluate, parse_atom, parse_program, solve,
+)
 
 
 def store_of(*facts):
@@ -44,10 +46,10 @@ class TestFactStoreUtilities:
         with pytest.raises(ValueError):
             store.add(Atom("p", (Var("X"),)))
 
-    def test_candidates_fall_back_to_scan(self):
+    def test_unbound_literal_scans_the_relation(self):
         store = store_of(("p", 1, "a"), ("p", 2, "b"))
-        goal = Atom("p", (Var("X"), Var("Y")))
-        assert len(list(store.candidates(goal, {}))) == 2
+        goal = Literal(Atom("p", (Var("X"), Var("Y"))))
+        assert len(solve(store, [goal], {})) == 2
 
     def test_sorted_atoms_filtered_by_pred(self):
         store = store_of(("p", 2), ("p", 1), ("q", 1))
