@@ -14,9 +14,11 @@ The evaluator computes the minimal model of a safe program:
   paper requires of the GCM rule language ("Datalog with well-founded
   negation", Section 3).
 
-Rule bodies are greedily reordered at evaluation time so builtins and
-negation run as soon as their variables are bound, which the safety
-check guarantees is always eventually possible.
+Rule bodies are greedily reordered so builtins and negation run as
+soon as their variables are bound, which the safety check guarantees
+is always eventually possible.  Each ordered body is compiled once
+into a slot-indexed join plan (see "join plans" below) that every
+evaluation path shares.
 """
 
 from __future__ import annotations
@@ -182,13 +184,8 @@ def _run_strata(program, strata, store, tracer, metrics, max_facts, seminaive,
     new = None
     if seed_from_base:
         new = FactStore()
-        proper = []
-        for rule in program:
-            if not rule.is_fact:
-                proper.append(rule)
-            elif store.add_row(rule.head.signature, rule.head.args):
-                new.add_row(rule.head.signature, rule.head.args)
-        program = proper
+        _add_facts([rule for rule in program if rule.is_fact], store, new)
+        program = [rule for rule in program if not rule.is_fact]
     for index, stratum in enumerate(strata):
         rules = [r for r in program if r.head.signature in stratum]
         if metrics is None:
@@ -397,11 +394,11 @@ class _Evaluator:
         stratum_index = stratum_metrics.index if collect else 0
         store = self.store
         delta = FactStore()
-        for rule in facts:
-            if store.add(rule.head):
-                delta.add(rule.head)
-                if collect and derived_at is not None:
-                    derived_at.setdefault(rule.head, (stratum_index, 0))
+        added = _add_facts(facts, store, delta)
+        if collect and derived_at is not None:
+            for (pred, _arity), rows in added.items():
+                for args in rows:
+                    derived_at.setdefault(Atom(pred, args), (stratum_index, 0))
 
         def derive(plan, source, target, round_no):
             """Fire `plan` (its delta literal reading `source`) and add
@@ -410,13 +407,10 @@ class _Evaluator:
             if collect:
                 self.rule_firings += len(heads)
             pred, sig = plan.head.pred, plan.head.signature
-            for args in heads:
-                if store.add_row(sig, args):
-                    target.add_row(sig, args)
-                    if collect and derived_at is not None:
-                        derived_at.setdefault(
-                            Atom(pred, args), (stratum_index, round_no)
-                        )
+            added = target.add_rows(sig, store.add_rows(sig, heads))
+            if collect and derived_at is not None:
+                for args in added:
+                    derived_at.setdefault(Atom(pred, args), (stratum_index, round_no))
 
         local_sigs = {r.head.signature for r in rules}
 
@@ -495,6 +489,21 @@ class _Evaluator:
             delta = new_delta
             if new is not None:
                 new.merge(delta)
+
+
+def _add_facts(facts, store, target):
+    """Add the heads of the fact rules `facts` to `store`, and the ones
+    new to it to `target`; returns them as ``{signature: [args]}``."""
+    batches: Dict[Tuple, List] = {}
+    for rule in facts:
+        head = rule.head
+        if not head.is_ground():
+            raise ValueError("cannot store non-ground fact: %s" % head)
+        batches.setdefault(head.signature, []).append(head.args)
+    return {
+        sig: target.add_rows(sig, store.add_rows(sig, batch))
+        for sig, batch in batches.items()
+    }
 
 
 def _delta_plans(rule, body, positions, new):
@@ -623,6 +632,8 @@ def _rule_plan(rule, first=None, delta=None):
 
 @functools.lru_cache(maxsize=1024)
 def _body_plan(body, bound):
+    """The plan of a bare `body` whose variables `bound` are bound from
+    the start (see :func:`solve`)."""
     return _Plan(_order_body_items(body), None, bound=bound)
 
 

@@ -24,10 +24,10 @@ proof.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import EvaluationError
-from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Program, Rule
+from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Rule
 from .engine import evaluate, solve
 from .terms import term_sort_key, unify
 

@@ -44,27 +44,32 @@ class FactStore:
 
     def add_row(self, sig, args):
         """Insert a ground argument tuple under `sig`; True if new."""
+        return bool(self.add_rows(sig, (args,)))
+
+    def add_rows(self, sig, batch):
+        """Insert ground argument tuples under `sig`; returns the list
+        of those that were new, in order."""
         rows = self._facts[sig]
-        if args in rows:
-            return False
-        rows.add(args)
+        new = []
+        for args in batch:
+            if args not in rows:
+                rows.add(args)
+                new.append(args)
         indexes = self._indexes.get(sig)
-        if indexes:
+        if indexes and new:
             for key_of, index in indexes.values():
-                key = key_of(args)
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [args]
-                else:
-                    bucket.append(args)
-        return True
+                for args in new:
+                    key = key_of(args)
+                    bucket = index.get(key)
+                    if bucket is None:
+                        index[key] = [args]
+                    else:
+                        bucket.append(args)
+        return new
 
     def contains(self, atom):
         """Membership test for a ground atom."""
         return atom.args in self._facts.get(atom.signature, ())
-
-    def contains_row(self, sig, args):
-        return args in self._facts.get(sig, ())
 
     def rows(self, sig):
         """All argument tuples stored under `sig` (a live set: do not
