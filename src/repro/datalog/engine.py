@@ -766,9 +766,6 @@ def _key_builder(terms, slots):
     """partial solution -> an index key over `terms` (see
     :meth:`FactStore.index`): the value itself for one term, the tuple
     of values for several."""
-    indices = [_slot(t, slots) for t in terms]
-    if all(i is not None for i in indices):
-        return itemgetter(*indices)
     if len(terms) == 1:
         return _term_builder(terms[0], slots)
     return _tuple_builder(terms, slots)
@@ -860,7 +857,9 @@ def _compile_steps(body, slots, delta):
 def _positive_step(atom, slots, source):
     """Join with the rows of `atom`'s relation in ``sources[source]``."""
     sig = atom.signature
-    keys = [i for i, arg in enumerate(atom.args) if _term_builder(arg, slots)]
+    keys = tuple(
+        i for i, arg in enumerate(atom.args) if _term_builder(arg, slots)
+    )
     rest = [i for i in range(len(atom.args)) if i not in keys]
     if not rest:
         row_of = _tuple_builder(atom.args, slots)
@@ -872,6 +871,15 @@ def _positive_step(atom, slots, source):
         return member
 
     key = _key_builder([atom.args[i] for i in keys], slots) if keys else None
+
+    def candidates(store):
+        """partial solution -> the rows it may join with"""
+        if key is None:
+            rows = store.rows(sig)
+            return lambda p: rows
+        get = store.index(sig, keys).get
+        return lambda p: get(key(p), ())
+
     patterns = [atom.args[i] for i in rest]
     if len(set(patterns)) == len(patterns) and all(
         isinstance(arg, Var) for arg in patterns
@@ -880,34 +888,21 @@ def _positive_step(atom, slots, source):
         for v in patterns:
             slots[v] = len(slots)
         new = _tuple_getter(rest)
-        if key is None:
-            def scan(parts, sources):
-                rows = sources[source].rows(sig)
-                return [p + new(row) for p in parts for row in rows]
-
-            return scan
-        keys = tuple(keys)
 
         def join(parts, sources):
-            get = sources[source].index(sig, keys).get
-            return [p + new(row) for p in parts for row in get(key(p), ())]
+            rows_of = candidates(sources[source])
+            return [p + new(row) for p in parts for row in rows_of(p)]
 
         return join
 
     match = _matcher(patterns, slots)
     values = _tuple_getter(rest)
-    keys = tuple(keys)
 
     def join_matching(parts, sources):
-        if key is None:
-            rows = sources[source].rows(sig)
-            lookup = lambda p: rows  # noqa: E731
-        else:
-            get = sources[source].index(sig, keys).get
-            lookup = lambda p: get(key(p), ())  # noqa: E731
+        rows_of = candidates(sources[source])
         out = []
         for p in parts:
-            for row in lookup(p):
+            for row in rows_of(p):
                 q = match(p, values(row))
                 if q is not None:
                     out.append(q)

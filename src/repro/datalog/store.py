@@ -40,11 +40,7 @@ class FactStore:
         """Insert a ground atom; returns True if it was new."""
         if not atom.is_ground():
             raise ValueError("cannot store non-ground fact: %s" % atom)
-        return self.add_row(atom.signature, atom.args)
-
-    def add_row(self, sig, args):
-        """Insert a ground argument tuple under `sig`; True if new."""
-        return bool(self.add_rows(sig, (args,)))
+        return bool(self.add_rows(atom.signature, (atom.args,)))
 
     def add_rows(self, sig, batch):
         """Insert ground argument tuples under `sig`; returns the list
@@ -58,13 +54,7 @@ class FactStore:
         indexes = self._indexes.get(sig)
         if indexes and new:
             for key_of, index in indexes.values():
-                for args in new:
-                    key = key_of(args)
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = [args]
-                    else:
-                        bucket.append(args)
+                _file(index, key_of, new)
         return new
 
     def contains(self, atom):
@@ -89,13 +79,7 @@ class FactStore:
         if entry is None:
             key_of = itemgetter(*positions)
             index: Dict[object, List[FactArgs]] = {}
-            for args in self._facts.get(sig, ()):
-                key = key_of(args)
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [args]
-                else:
-                    bucket.append(args)
+            _file(index, key_of, self._facts.get(sig, ()))
             # published whole: a reader of a shared store may be
             # looking the same index up
             entry = indexes[positions] = (key_of, index)
@@ -146,8 +130,7 @@ class FactStore:
     def merge(self, other):
         """In-place union with another store; returns self."""
         for sig, rows in other._facts.items():
-            for args in rows:
-                self.add_row(sig, args)
+            self.add_rows(sig, rows)
         return self
 
     def difference_count(self, other):
@@ -162,3 +145,14 @@ class FactStore:
         mine = {sig: rows for sig, rows in self._facts.items() if rows}
         theirs = {sig: rows for sig, rows in other._facts.items() if rows}
         return mine == theirs
+
+
+def _file(index, key_of, rows):
+    """Append each of `rows` to its bucket of `index`."""
+    for args in rows:
+        key = key_of(args)
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [args]
+        else:
+            bucket.append(args)

@@ -61,7 +61,9 @@ def _solve(evaluator, body, index, subst, delta_position, delta):
         ground = item.atom.substitute(subst)
         if not ground.is_ground():
             raise EvaluationError("negated subgoal %s not ground" % ground)
-        target = evaluator.negation_store or evaluator.store
+        target = evaluator.negation_store
+        if target is None:
+            target = evaluator.store
         if not target.contains(ground):
             yield from rest(subst)
     elif isinstance(item, engine.Comparison):
