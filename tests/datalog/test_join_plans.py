@@ -12,6 +12,7 @@ counters on every evaluation path: fresh, delta (``evaluate(base=)``),
 import contextlib
 from typing import Dict, List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,9 @@ from repro.datalog.builtins import solve_assignment, solve_comparison
 from repro.datalog.engine import _apply_aggregate, _order_body_items, extend
 from repro.datalog.terms import substitute, term_sort_key, unify
 from repro.errors import EvaluationError
+from repro.neuro import build_scenario
+
+from .test_work_counters import PINNED_EXAMPLES, run_example
 
 
 # -- the oracle: the unification solver --------------------------------
@@ -268,6 +272,26 @@ class TestPlansAgreeWithUnification:
         assert planned == oracle
 
 
+class TestKnowledgeBases:
+    """The knowledge bases the example deployments and the eager KIND
+    scenario build: domain maps, F-logic axioms, views, defaults."""
+
+    @pytest.mark.parametrize(
+        "stem", sorted(stem for stem, (_run, kbs) in PINNED_EXAMPLES.items() if kbs)
+    )
+    def test_example_deployments(self, stem):
+        _tracer, built = run_example(stem)
+        for mediator in built:
+            program = list(mediator.engine().program())
+            planned, oracle = both_solvers(lambda: outcome(evaluate(program)))
+            assert planned == oracle
+
+    def test_eager_kind_scenario(self):
+        program = list(build_scenario(eager=True).mediator.engine().program())
+        planned, oracle = both_solvers(lambda: outcome(evaluate(program)))
+        assert planned == oracle
+
+
 class TestSolve:
     """``solve`` (provenance's entry point) agrees with the oracle on
     every rule instance of every derived fact."""
@@ -353,13 +377,3 @@ class TestPlanShape:
         for fact in extra[1:]:
             evaluate(list(program) + [fact], base=base)
         assert engine._rule_plan.cache_info().misses == compiled
-
-    def test_repeated_variable_in_a_literal_is_checked(self):
-        program = parse_program("e(1, 1). e(1, 2). d(X) :- e(X, X).")
-        assert [str(a) for a in evaluate(program).facts("d")] == ["d(1)"]
-
-    def test_struct_key_is_built_from_bound_variables(self):
-        program = parse_program(
-            "g(1). g(2). w(k(1)). w(k(3)). both(X) :- g(X), w(k(X))."
-        )
-        assert [str(a) for a in evaluate(program).facts("both")] == ["both(1)"]

@@ -50,9 +50,9 @@ def counters(program):
     return metrics.rule_firings, metrics.facts_derived
 
 
-def example_counters(stem):
-    """Totals over the run of example `stem`, then the counters of each
-    knowledge base it built, as it stands when the script ends."""
+def run_example(stem):
+    """Run example `stem` under a tracer; returns the tracer and the
+    mediators the script built, in construction order."""
     built = []
     original_init = Mediator.__init__
 
@@ -69,6 +69,13 @@ def example_counters(stem):
                 )
     finally:
         Mediator.__init__ = original_init
+    return tracer, built
+
+
+def example_counters(stem):
+    """Totals over the run of example `stem`, then the counters of each
+    knowledge base it built, as it stands when the script ends."""
+    tracer, built = run_example(stem)
     totals = tuple(
         tracer.metrics.counter_total(name)
         for name in (
