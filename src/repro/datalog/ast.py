@@ -285,12 +285,16 @@ class AggregateLiteral(BodyItem):
 class Rule:
     """A rule ``head :- body``.  A fact is a rule with an empty body."""
 
-    __slots__ = ("head", "body", "_hash")
+    __slots__ = ("head", "body", "_hash", "_plans")
 
     def __init__(self, head, body=()):
         self.head = head
         self.body = tuple(body)
         self._hash = hash(("Rule", head, self.body))
+        #: the evaluator's join plans, set on first evaluation and shared
+        #: with the equal rules that print the same (see
+        #: ``engine._rule_plan``)
+        self._plans = None
 
     @property
     def is_fact(self):
@@ -328,6 +332,10 @@ class Rule:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # copies and pickles leave the compiled plans behind
+        return (Rule, (self.head, self.body))
 
     def __repr__(self):
         return "Rule(%r, %r)" % (self.head, self.body)

@@ -337,7 +337,7 @@ def solve(store, body, bindings):
     the engine finds them.
     """
     bound = tuple(bindings)
-    plan = _body_plan(tuple(body), bound)
+    plan = _Plan(_order_body_items(body), None, bound=bound)
     initial = plan.initial + tuple(bindings[v] for v in bound)
     parts = plan.run((store, None, store), initial)
     return [{v: p[slot] for v, slot in plan.variables} for p in parts]
@@ -621,20 +621,29 @@ def _is_ready_filter(item, bound):
 # the plan's delta literal; negated ones read the negation target.
 
 
-@functools.lru_cache(maxsize=4096)
 def _rule_plan(rule, first=None, delta=None):
     """The plan of `rule`'s body in greedy order (starting from the
     literal `first` when given), the literal at body index `delta`
     reading the delta.  Rules are immutable, so plans are shared by
     every evaluation of them."""
-    return _Plan(_order_body_items(rule.body, first), delta, head=rule.head)
+    plans = rule._plans
+    if plans is None:
+        plans = rule._plans = _plan_table(rule, repr(rule))
+    plan = plans.get((first, delta))
+    if plan is None:
+        plan = plans[first, delta] = _Plan(
+            _order_body_items(rule.body, first), delta, head=rule.head
+        )
+    return plan
 
 
-@functools.lru_cache(maxsize=1024)
-def _body_plan(body, bound):
-    """The plan of a bare `body` whose variables `bound` are bound from
-    the start (see :func:`solve`)."""
-    return _Plan(_order_body_items(body), None, bound=bound)
+@functools.lru_cache(maxsize=4096)
+def _plan_table(rule, text):
+    """The plans of the rule objects equal to `rule` (a knowledge base
+    rebuilds its rules), keyed by ``(first, delta)``.  Equal rules may
+    still differ in the type of a constant (1, 1.0, True) that a plan
+    emits, so `text`, the rule's repr, is part of the key."""
+    return {}
 
 
 class _Plan:
@@ -832,25 +841,62 @@ def _matcher(patterns, slots):
     return match
 
 
-def _compile_steps(body, slots, delta):
-    """One step per item of `body`; `slots` gains the variables the
-    body binds."""
+def _compile_steps(body, slots, delta, pending=()):
+    """The steps of `body`; `slots` gains the variables the body binds.
+
+    An ``=`` with no bound side (``X = N`` ordered before the aggregate
+    that binds N) is *pending*: where it stands it only filters (the
+    pending equations must unify under the bound slots), and it binds
+    right after the step that binds one of its sides.  `pending` are
+    the enclosing body's pending equations (for an aggregate subgoal).
+    """
     steps = []
+    pending = list(pending)
     for index, item in enumerate(body):
+        known = len(slots)
         if isinstance(item, Literal) and item.positive:
             steps.append(_positive_step(item.atom, slots, 1 if index == delta else 0))
         elif isinstance(item, Literal):
             steps.append(_negative_step(item.atom, slots))
         elif isinstance(item, Comparison) and item.op == "=":
-            steps.append(_unify_step(item, slots))
+            if _has_bound_side(item, slots):
+                steps.append(_unify_step(item, slots))
+            else:
+                pending.append(item)
+                steps.append(_unifiable_step(pending, slots))
         elif isinstance(item, Comparison):
             steps.append(_comparison_step(item, slots))
         elif isinstance(item, Assignment):
             steps.append(_assignment_step(item, slots))
         elif isinstance(item, AggregateLiteral):
-            steps.append(_aggregate_step(item, slots))
+            steps.append(_aggregate_step(item, slots, pending))
         else:
             raise EvaluationError("unsupported body item %r" % (item,))
+        if pending and len(slots) > known:
+            steps.extend(_settle(pending, slots, set(list(slots)[known:])))
+    return steps
+
+
+def _has_bound_side(item, slots):
+    return (_term_builder(item.left, slots) is not None
+            or _term_builder(item.right, slots) is not None)
+
+
+def _settle(pending, slots, fresh):
+    """Steps after a step that bound the variables `fresh`: each pending
+    equation with a bound side now binds (and stops pending); if the
+    others read a fresh variable, they must still unify."""
+    steps = []
+    while True:
+        ready = [item for item in pending if _has_bound_side(item, slots)]
+        if not ready:
+            break
+        for item in ready:
+            pending.remove(item)
+            fresh.update(v for v in item.variables() if v not in slots)
+            steps.append(_unify_step(item, slots))
+    if any(v in fresh for item in pending for v in item.variables()):
+        steps.append(_unifiable_step(pending, slots))
     return steps
 
 
@@ -927,14 +973,12 @@ def _negative_step(atom, slots):
 
 
 def _unify_step(item, slots):
-    """``left = right``: an equality test when both sides are bound,
-    else the unbound side is matched against the bound one."""
+    """``left = right`` with a bound side: an equality test when both
+    sides are bound, else the other side is matched against it."""
     left = _term_builder(item.left, slots)
     right = _term_builder(item.right, slots)
     if left is not None and right is not None:
         return lambda parts, sources: [p for p in parts if left(p) == right(p)]
-    if left is None and right is None:
-        return _free_unify_step(item, slots)
     pattern, value = (item.left, right) if left is None else (item.right, left)
     match = _matcher([pattern], slots)
 
@@ -949,30 +993,26 @@ def _unify_step(item, slots):
     return bind
 
 
-def _free_unify_step(item, slots):
-    """``left = right`` with unbound variables on both sides: unified
-    per partial solution, and every variable must end up ground."""
-    variables = _unique_variables([item.left, item.right])
-    bound = [(v, slots[v]) for v in variables if v in slots]
-    fresh = [v for v in variables if v not in slots]
-    for v in fresh:
-        slots[v] = len(slots)
+def _unifiable_step(equations, slots):
+    """Keep the partial solutions under which the pending `equations`
+    (see :func:`_compile_steps`) unify together."""
+    equations = tuple(equations)
+    terms = [term for item in equations for term in (item.left, item.right)]
+    bound = [(v, slots[v]) for v in _unique_variables(terms) if v in slots]
 
-    def free_unify(parts, sources):
+    def unifiable(parts, sources):
         out = []
         for p in parts:
-            subst = unify(item.left, item.right, {v: p[s] for v, s in bound})
-            if subst is None:
-                continue
-            values = tuple(substitute(v, subst) for v in fresh)
-            if not all(value.is_ground() for value in values):
-                raise EvaluationError(
-                    "comparison %s leaves variables unbound" % item
-                )
-            out.append(p + values)
+            subst = {v: p[s] for v, s in bound}
+            for item in equations:
+                subst = unify(item.left, item.right, subst)
+                if subst is None:
+                    break
+            else:
+                out.append(p)
         return out
 
-    return free_unify
+    return unifiable
 
 
 def _plain_value(term):
@@ -1021,11 +1061,14 @@ def _assignment_step(item, slots):
     return assign
 
 
-def _aggregate_step(agg, slots):
+def _aggregate_step(agg, slots, pending):
     """Group the subgoal's solutions per partial solution and bind the
-    grouping variables and the result, one extension per group."""
+    grouping variables and the result, one extension per group.  The
+    subgoal also obeys the `pending` equations of the body."""
     inner_slots = dict(slots)
-    inner = _compile_steps(_order_body_items(agg.body), inner_slots, None)
+    inner = _compile_steps(
+        _order_body_items(agg.body), inner_slots, None, pending
+    )
     group = _tuple_builder(agg.group_by, inner_slots)
     value = _term_builder(agg.value, inner_slots)
     if value is None:

@@ -10,6 +10,8 @@ counters on every evaluation path: fresh, delta (``evaluate(base=)``),
 """
 
 import contextlib
+import copy
+import pickle
 from typing import Dict, List, Tuple
 
 import pytest
@@ -147,8 +149,9 @@ POSITIVE = (
     "pair(X, Y) :- t(X, Y), t(Y, X).",
 )
 
-#: rules negating or aggregating over the positive heads, and rules
-#: reading those (later strata)
+#: rules negating or aggregating over the positive heads, rules reading
+#: those (later strata), and '=' with no bound side ordered before the
+#: aggregate that binds it (the old solver aliased the two sides)
 NONMONOTONE = (
     "lonely(X) :- g(X), not loop(X).",
     "nt(X, Y) :- e(X, Y), not t(Y, X).",
@@ -158,6 +161,10 @@ NONMONOTONE = (
     "tot(S) :- S = sum{{Y; e(Z, Y)}}.",
     "top(X) :- cnt(X, N), N > {c}.",
     "both(X) :- lonely(X), mx(X, M), M >= X.",
+    "al(X) :- X = N, N = count{{Y; e(Y, Y)}}.",
+    "als(X) :- g(Z), X = k(N), N = sum{{Y [Z]; e(Z, Y)}}.",
+    "ala(Z, N) :- X = Z, N = count{{X [Z]; e(X, Y), e(Z, Y)}}.",
+    "alc(M) :- M = X, X = N, N = max{{Y; e(Y, {c})}}.",
 )
 
 #: recursion through negation: only the well-founded model has it
@@ -362,7 +369,18 @@ class TestPlanShape:
         assert calls
         assert {str(pattern) for pattern, _row, _subst in calls} == {"k(X)"}
 
-    def test_plans_are_compiled_once_per_delta_literal(self):
+    def test_plans_are_compiled_once_per_delta_literal(self, monkeypatch):
+        compiled = []
+
+        class Counted(engine._Plan):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                compiled.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_Plan", Counted)
+        engine._plan_table.cache_clear()
         program = parse_program(
             """
             t(X, Y) :- e(X, Y).
@@ -373,7 +391,76 @@ class TestPlanShape:
         base = evaluate(program)
         extra = [Rule(Atom("e", (Const(2), Const(n)))) for n in range(3, 6)]
         evaluate(list(program) + extra[:1], base=base)
-        compiled = engine._rule_plan.cache_info().misses
+        assert compiled
+        count = len(compiled)
         for fact in extra[1:]:
             evaluate(list(program) + [fact], base=base)
-        assert engine._rule_plan.cache_info().misses == compiled
+        # rebuilt rule objects reuse the plans of the equal rules
+        evaluate(parse_program("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, Z), e(Z, Y). e(1, 2)."))
+        assert len(compiled) == count
+
+    def test_equal_rules_share_plans_only_with_equal_constants(self):
+        text = "p(X, 1) :- q(X), r(X)."
+        plan = engine._rule_plan(parse_rule(text))
+        assert engine._rule_plan(parse_rule(text)) is plan
+        assert parse_rule(text) == parse_rule("p(X, 1.0) :- q(X), r(X).")
+        assert engine._rule_plan(parse_rule("p(X, 1.0) :- q(X), r(X).")) is not plan
+
+    def test_rules_copy_and_pickle_without_their_plans(self):
+        program = parse_program("q(1). p(X) :- q(X), X = 1.")
+        evaluate(program)
+        for rule in program:
+            for copied in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+                assert copied == rule and copied._plans is None
+            assert evaluate([pickle.loads(pickle.dumps(r)) for r in program]).facts("p")
+
+
+class TestConstantTypes:
+    """Const(1), Const(1.0) and Const(True) are equal; a derived fact
+    still carries the constant its own rule wrote."""
+
+    def test_head_constant_of_an_equal_rule(self):
+        first = evaluate(parse_program("q(a). p(1) :- q(a)."))
+        second = evaluate(parse_program("q(a). p(1.0) :- q(a)."))
+        [one] = first.facts("p")
+        [other] = second.facts("p")
+        assert type(one.args[0].value) is int
+        assert type(other.args[0].value) is float
+
+    def test_solve_binds_the_constant_of_its_body(self):
+        store = evaluate(parse_program("q(a).")).store
+        [one] = solve(store, parse_rule("h(X) :- q(a), X = 1.").body, {})
+        [other] = solve(store, parse_rule("h(X) :- q(a), X = 1.0.").body, {})
+        assert [type(s.value) for s in one.values()] == [int]
+        assert [type(s.value) for s in other.values()] == [float]
+
+
+class TestPendingEquations:
+    """An '=' with no bound side, ordered before the aggregate that
+    binds one of its sides: it binds once that side is bound."""
+
+    @pytest.mark.parametrize(
+        "rule, expected",
+        [
+            ("p(X) :- X = N, N = count{Y; e(Y, Y)}.", ["p(2)"]),
+            (
+                "p(X) :- g(Z), X = k(N), N = sum{Y [Z]; e(Z, Y)}.",
+                ["p(k(2))", "p(k(4))"],
+            ),
+        ],
+    )
+    def test_bound_by_a_later_aggregate(self, rule, expected):
+        program = parse_program("e(1, 1). e(2, 2). e(1, 3). g(1). g(2). " + rule)
+        result = evaluate(program)
+        assert [str(atom) for atom in result.facts("p")] == expected
+
+    @pytest.mark.parametrize("extra, expected", [("", ["p(1, 1)"]), ("e(3, 4).", [])])
+    def test_partly_bound_sides_must_still_unify(self, extra, expected):
+        # unsafe (B and D are never bound), so unchecked: the pending
+        # equation binds nothing, yet it still requires A = C
+        program = parse_program(
+            "g(1). e(1, 2). %s p(A, C) :- k(A, B) = k(C, D), "
+            "A = count{Y; g(Y)}, C = count{Y; e(Y, _)}." % extra
+        )
+        for run in both_solvers(lambda: evaluate(program, check_safety=False)):
+            assert [str(atom) for atom in run.facts("p")] == expected
